@@ -40,6 +40,9 @@ class ReservoirSample:
         self.capacity = capacity
         self._rng = make_rng(seed)
         self._items: list[Element] = []
+        # Multiplicity of each sampled value: decides a delete without
+        # scanning _items, which only a sampled delete has to touch.
+        self._counts: dict[Element, int] = {}
         self._seen = 0
         self._live = 0
         self._holes_in = 0  # uncompensated deletions that were sampled
@@ -55,28 +58,43 @@ class ReservoirSample:
             # takes the deleted element's place in (or out of) the sample.
             if int(self._rng.integers(0, holes)) < self._holes_in:
                 self._items.append(element)
+                self._count(element, 1)
                 self._holes_in -= 1
             else:
                 self._holes_out -= 1
             return
         if len(self._items) < self.capacity:
             self._items.append(element)
+            self._count(element, 1)
             return
         slot = int(self._rng.integers(0, self._live))
         if slot < self.capacity:
+            self._count(self._items[slot], -1)
             self._items[slot] = element
+            self._count(element, 1)
 
     def remove(self, element: Element) -> None:
-        """Delete one element from the sampled population (by value)."""
+        """Delete one element from the sampled population (by value).
+
+        An unsampled element is recognised from the multiplicity map in
+        O(1); only a sampled one costs a scan of the reservoir.
+        """
         if self._live == 0:
             raise EstimationError("remove from an empty population")
         self._live -= 1
-        try:
+        if element in self._counts:
             self._items.remove(element)
-        except ValueError:
-            self._holes_out += 1
-        else:
+            self._count(element, -1)
             self._holes_in += 1
+        else:
+            self._holes_out += 1
+
+    def _count(self, element: Element, delta: int) -> None:
+        count = self._counts.get(element, 0) + delta
+        if count:
+            self._counts[element] = count
+        else:
+            del self._counts[element]
 
     def extend(self, elements) -> None:
         for element in elements:

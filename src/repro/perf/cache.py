@@ -38,6 +38,12 @@ from repro.obs import runtime as _obs
 T = TypeVar("T")
 
 
+#: Types sized by ``sys.getsizeof`` alone: they reference nothing the
+#: walk would follow.  Matched exactly, so subclasses (enums, named
+#: tuples) take the general path.
+_SCALARS = frozenset({int, float, complex, bool, str, bytes, type(None)})
+
+
 def approx_nbytes(value: Any, depth: int = 4) -> int:
     """Approximate deep size of a cached summary, in bytes.
 
@@ -45,7 +51,18 @@ def approx_nbytes(value: Any, depth: int = 4) -> int:
     artifact shapes the cache holds — histogram objects with bucket
     lists, Counters, numpy arrays, tuples of floats.  Exactness is not
     the point; stable relative accounting across runs is.
+
+    The cost follows the artifact's shape, not its element count:
+    scalars are sized directly, and a list, tuple or dict is sized from
+    its first element (a dict from its first key plus value) times its
+    length.  For containers of uniformly sized elements — the buckets
+    of a histogram, the cells of a grid, the floats of an edge list —
+    that equals a walk over every element.  Sets and frozensets are
+    still walked in full, because their iteration order, and so their
+    first element, varies between processes.
     """
+    if type(value) in _SCALARS:
+        return sys.getsizeof(value)
     arr_nbytes = getattr(value, "nbytes", None)
     if isinstance(arr_nbytes, int):  # numpy arrays and scalars
         return int(arr_nbytes) + 96
@@ -53,10 +70,16 @@ def approx_nbytes(value: Any, depth: int = 4) -> int:
     if depth <= 0:
         return total
     if isinstance(value, dict):
-        for key, item in value.items():
-            total += approx_nbytes(key, depth - 1)
-            total += approx_nbytes(item, depth - 1)
-    elif isinstance(value, (list, tuple, set, frozenset)):
+        if value:
+            key, item = next(iter(value.items()))
+            total += len(value) * (
+                approx_nbytes(key, depth - 1)
+                + approx_nbytes(item, depth - 1)
+            )
+    elif isinstance(value, (list, tuple)):
+        if value:
+            total += len(value) * approx_nbytes(value[0], depth - 1)
+    elif isinstance(value, (set, frozenset)):
         for item in value:
             total += approx_nbytes(item, depth - 1)
     else:
@@ -104,6 +127,10 @@ class SummaryCache:
         self.maxsize = maxsize
         self._data: OrderedDict[Hashable, Any] = OrderedDict()
         self._sizes: dict[Hashable, int] = {}
+        # String token -> resident keys mentioning it.  Built by the
+        # first invalidate_fingerprint and kept current from then on,
+        # so caches that are never invalidated never pay for it.
+        self._index: dict[str, set[Hashable]] | None = None
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -137,18 +164,7 @@ class SummaryCache:
             _obs.record_cache("misses", kind=self.metric_kind)
         value = builder()
         size = self._value_nbytes(value)
-        evicted = 0
-        with self._lock:
-            if key not in self._data:
-                self.nbytes += size
-                self._sizes[key] = size
-            self._data[key] = value
-            self._data.move_to_end(key)
-            while len(self._data) > self.maxsize:
-                victim, __ = self._data.popitem(last=False)
-                self.nbytes -= self._sizes.pop(victim, 0)
-                self.evictions += 1
-                evicted += 1
+        evicted = self._store(key, value, size)
         if _obs.enabled():
             _obs.record_cache("built_nbytes", size, kind=self.metric_kind)
             if evicted:
@@ -181,21 +197,48 @@ class SummaryCache:
         estimates this way); :meth:`get_or_build` remains the one-stop
         path when the builder can run at lookup time.
         """
-        size = self._value_nbytes(value)
+        evicted = self._store(key, value, self._value_nbytes(value))
+        if _obs.enabled() and evicted:
+            _obs.record_cache("evictions", evicted, kind=self.metric_kind)
+
+    def _store(self, key: Hashable, value: Any, size: int) -> int:
+        """Insert as most recently used, evict past ``maxsize``.
+
+        Returns the number of entries evicted.
+        """
         evicted = 0
         with self._lock:
             if key not in self._data:
                 self.nbytes += size
                 self._sizes[key] = size
+                if self._index is not None:
+                    self._index_add(key)
             self._data[key] = value
             self._data.move_to_end(key)
             while len(self._data) > self.maxsize:
                 victim, __ = self._data.popitem(last=False)
                 self.nbytes -= self._sizes.pop(victim, 0)
+                if self._index is not None:
+                    self._index_drop(victim)
                 self.evictions += 1
                 evicted += 1
-        if _obs.enabled() and evicted:
-            _obs.record_cache("evictions", evicted, kind=self.metric_kind)
+        return evicted
+
+    def _index_add(self, key: Hashable) -> None:
+        for token in _key_tokens(key):
+            keys = self._index.get(token)
+            if keys is None:
+                self._index[token] = {key}
+            else:
+                keys.add(key)
+
+    def _index_drop(self, key: Hashable) -> None:
+        for token in _key_tokens(key):
+            keys = self._index.get(token)
+            if keys is not None:
+                keys.discard(key)
+                if not keys:
+                    del self._index[token]
 
     def invalidate_fingerprint(self, fingerprint: str) -> int:
         """Drop every entry whose key mentions ``fingerprint``.
@@ -207,18 +250,28 @@ class SummaryCache:
         (other tenants, other tags) are untouched — their positions,
         sizes and hit counters do not move.  Returns the number of
         entries removed; lookups are not counted as hits or misses.
+
+        A key mentions ``fingerprint`` when the key, or any string
+        inside it at any depth of nested tuples, equals it (strings
+        inside other containers do not count).  The first call indexes
+        every resident key by those strings, and inserts, evictions,
+        invalidations and :meth:`clear` keep the index current, so each
+        call costs O(entries dropped) rather than a scan of the cache.
+        Byte accounting is unaffected: entry sizes were fixed at insert
+        by :func:`approx_nbytes`, which sizes a list, tuple or dict from
+        its first element and walks sets in full.
         """
-        removed = 0
         with self._lock:
-            victims = [
-                key
-                for key in self._data
-                if _key_mentions(key, fingerprint)
-            ]
+            if self._index is None:
+                self._index = {}
+                for key in self._data:
+                    self._index_add(key)
+            victims = list(self._index.get(fingerprint, ()))
             for key in victims:
                 del self._data[key]
                 self.nbytes -= self._sizes.pop(key, 0)
-                removed += 1
+                self._index_drop(key)
+            removed = len(victims)
             self.invalidations += removed
         if _obs.enabled() and removed:
             _obs.record_cache(
@@ -231,6 +284,8 @@ class SummaryCache:
         with self._lock:
             self._data.clear()
             self._sizes.clear()
+            if self._index is not None:
+                self._index.clear()
             self.hits = 0
             self.misses = 0
             self.evictions = 0
@@ -260,13 +315,17 @@ class SummaryCache:
         )
 
 
-def _key_mentions(key: Hashable, fingerprint: str) -> bool:
-    """Whether ``fingerprint`` appears anywhere in a (nested) key tuple."""
-    if isinstance(key, str):
-        return key == fingerprint
-    if isinstance(key, tuple):
-        return any(_key_mentions(part, fingerprint) for part in key)
-    return False
+def _key_tokens(key: Hashable) -> set[str]:
+    """The strings in a (nested) key tuple — what invalidation matches."""
+    tokens: set[str] = set()
+    pending = [key]
+    while pending:
+        part = pending.pop()
+        if isinstance(part, str):
+            tokens.add(part)
+        elif isinstance(part, tuple):
+            pending.extend(part)
+    return tokens
 
 
 # ----------------------------------------------------------------------

@@ -405,7 +405,8 @@ class EstimationService:
 
         Requests still queued at close are drained and answered from
         the bottom ladder rung (status ``"shed"``) so no future is left
-        unresolved.
+        unresolved.  The caches attached to ``live`` at construction are
+        detached, so later writes no longer invalidate into them.
         """
         if self._closed:
             return
@@ -415,6 +416,8 @@ class EstimationService:
             thread.join(timeout)
         for future in self._queue.drain():
             self._resolve_shed(future, reason="shutdown")
+        if self.live is not None:
+            self.live.detach_caches(self.summary_cache, self.index_cache)
         if self._pool is not None:
             # Last: stops worker processes and unlinks every
             # shared-memory arena (the leak-proofing contract).

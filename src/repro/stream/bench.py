@@ -42,7 +42,7 @@ from repro.estimators.coverage_histogram import merged_interval_bounds
 from repro.estimators.ph_histogram import cell_histogram, grid_side
 from repro.estimators.pl_histogram import PLHistogram
 from repro.index.stab import StabbingCounter
-from repro.perf.cache import SummaryCache, _key_mentions
+from repro.perf.cache import SummaryCache, _key_tokens
 from repro.service.engine import EstimationService
 from repro.stream.feed import MutationFeed
 from repro.stream.live import LiveWorkspace
@@ -135,7 +135,7 @@ def _entries_mentioning(
     return sum(
         1
         for key in list(cache._data)
-        if any(_key_mentions(key, fp) for fp in fingerprints)
+        if not fingerprints.isdisjoint(_key_tokens(key))
     )
 
 

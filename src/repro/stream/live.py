@@ -65,6 +65,26 @@ from repro.stream.feed import Mutation, MutationBatch
 _INGEST_HISTORY = 4096
 
 
+def _with_caches(
+    held: tuple[SummaryCache, ...], caches: Iterable[SummaryCache | None]
+) -> tuple[SummaryCache, ...]:
+    """``held`` plus each cache of ``caches`` not already in it."""
+    merged = list(held)
+    for cache in caches:
+        if cache is not None and all(cache is not kept for kept in merged):
+            merged.append(cache)
+    return tuple(merged)
+
+
+def _without_caches(
+    held: tuple[SummaryCache, ...], caches: tuple[SummaryCache | None, ...]
+) -> tuple[SummaryCache, ...]:
+    """``held`` minus every cache of ``caches``, matched by identity."""
+    return tuple(
+        kept for kept in held if all(kept is not gone for gone in caches)
+    )
+
+
 class _TagState:
     """All maintained structures for one live tag."""
 
@@ -218,15 +238,21 @@ class LiveWorkspace:
         Pass the service's ``SummaryCache`` and ``IndexCache`` (the
         latter covers arena, T-tree, XR-tree and start-index entries —
         they all key on the operand fingerprint).  ``None`` entries are
-        ignored so callers can forward optional caches directly.
+        ignored so callers can forward optional caches directly, and a
+        cache already attached is not attached twice.
         """
         with self._lock:
-            present = [c for c in caches if c is not None]
-            merged = list(self._caches)
-            for cache in present:
-                if all(cache is not existing for existing in merged):
-                    merged.append(cache)
-            self._caches = tuple(merged)
+            self._caches = _with_caches(self._caches, caches)
+
+    def detach_caches(self, *caches: SummaryCache | None) -> None:
+        """Stop invalidating into ``caches`` (matched by identity).
+
+        The inverse of :meth:`attach_caches`; a closing service calls it
+        so its caches are neither kept alive by the workspace nor
+        invalidated by later writes.  Caches not attached are ignored.
+        """
+        with self._lock:
+            self._caches = _without_caches(self._caches, caches)
 
     def _state(self, tag: str) -> _TagState:
         state = self._tags.get(tag)

@@ -39,7 +39,11 @@ from repro.core.nodeset import NodeSet
 from repro.core.workspace import Workspace
 from repro.perf.cache import SummaryCache
 from repro.storage.element_file import DiskNodeSet, write_node_set
-from repro.stream.live import LiveWorkspace
+from repro.stream.live import (
+    LiveWorkspace,
+    _with_caches,
+    _without_caches,
+)
 
 _TENANT_NAME = re.compile(r"^[A-Za-z0-9_.-]+$")
 
@@ -153,12 +157,22 @@ class CatalogStore:
             return list(self._resident)
 
     def attach_caches(self, *caches: SummaryCache | None) -> None:
-        """Share invalidation targets with every current/future tenant."""
+        """Share invalidation targets with every current/future tenant.
+
+        A cache the store already holds is skipped, as in
+        :meth:`LiveWorkspace.attach_caches`.
+        """
         with self._lock:
-            present = tuple(c for c in caches if c is not None)
-            self._caches = self._caches + present
+            self._caches = _with_caches(self._caches, caches)
             for live in self._resident.values():
-                live.attach_caches(*present)
+                live.attach_caches(*caches)
+
+    def detach_caches(self, *caches: SummaryCache | None) -> None:
+        """Withdraw ``caches`` (by identity) from every tenant."""
+        with self._lock:
+            self._caches = _without_caches(self._caches, caches)
+            for live in self._resident.values():
+                live.detach_caches(*caches)
 
     # -- residency ----------------------------------------------------
 

@@ -1,12 +1,14 @@
 """Tests for repro.maintenance: incremental statistics under updates."""
 
 import statistics
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.core.element import Element
 from repro.core.errors import EstimationError, ReproError
+from repro.core.rng import make_rng
 from repro.core.nodeset import NodeSet
 from repro.core.workspace import Workspace
 from repro.estimators.pl_histogram import PLHistogram, PLHistogramEstimator
@@ -423,3 +425,116 @@ class TestLiveWorkspaceDeltaEdgeCases:
         live, __ = self._workspace()
         with pytest.raises(StreamError, match="non-live"):
             live.apply([Mutation("delete", Element("a", 2, 3))])
+
+
+class _ListScanReservoir:
+    """Reference: random pairing that finds deletes by scanning the
+    sample list, the algorithm ReservoirSample must reproduce."""
+
+    def __init__(self, capacity, seed):
+        self.capacity = capacity
+        self.rng = make_rng(seed)
+        self.items = []
+        self.live = 0
+        self.holes_in = 0
+        self.holes_out = 0
+
+    def add(self, element):
+        self.live += 1
+        holes = self.holes_in + self.holes_out
+        if holes:
+            if int(self.rng.integers(0, holes)) < self.holes_in:
+                self.items.append(element)
+                self.holes_in -= 1
+            else:
+                self.holes_out -= 1
+            return
+        if len(self.items) < self.capacity:
+            self.items.append(element)
+            return
+        slot = int(self.rng.integers(0, self.live))
+        if slot < self.capacity:
+            self.items[slot] = element
+
+    def remove(self, element):
+        self.live -= 1
+        try:
+            self.items.remove(element)
+        except ValueError:
+            self.holes_out += 1
+        else:
+            self.holes_in += 1
+
+
+class TestReservoirMatchesListScan:
+    """The multiplicity map decides deletes exactly as a list scan."""
+
+    def _check(self, reservoir, reference):
+        assert reservoir.sample == reference.items  # same order
+        assert [id(e) for e in reservoir.sample] == [
+            id(e) for e in reference.items
+        ]
+        assert reservoir._holes_in == reference.holes_in
+        assert reservoir._holes_out == reference.holes_out
+        assert reservoir.live == reference.live
+        assert (
+            reservoir._rng.bit_generator.state
+            == reference.rng.bit_generator.state
+        )
+        assert reservoir._counts == Counter(reference.items)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_seeded_insert_delete_script(self, seed):
+        """Random churn over a pool with equal-by-value duplicates.
+
+        Each pool value exists as two distinct Element objects, so
+        deletes hit by value, not identity; the script deletes unsampled
+        and sampled elements alike and drains to empty more than once.
+        """
+        rng = np.random.default_rng(seed)
+        values = [(4 * i + 1, 4 * i + 3) for i in range(40)]
+        copies = [
+            [Element("d", s, e) for s, e in values] for __ in range(2)
+        ]
+        capacity = int(rng.integers(1, 12))
+        reservoir = ReservoirSample(capacity, seed=seed)
+        reference = _ListScanReservoir(capacity, seed=seed)
+        live = []  # multiset of live values, as pool indexes
+        for __ in range(600):
+            drain = rng.random() < 0.01
+            if drain:
+                while live:
+                    index = live.pop()
+                    element = copies[int(rng.integers(0, 2))][index]
+                    reservoir.remove(element)
+                    reference.remove(element)
+                    self._check(reservoir, reference)
+                assert reservoir.live == 0 and len(reservoir) == 0
+                continue
+            if live and rng.random() < 0.45:
+                index = live.pop(int(rng.integers(0, len(live))))
+                element = copies[int(rng.integers(0, 2))][index]
+                reservoir.remove(element)
+                reference.remove(element)
+            else:
+                index = int(rng.integers(0, len(values)))
+                live.append(index)
+                element = copies[int(rng.integers(0, 2))][index]
+                reservoir.add(element)
+                reference.add(element)
+            self._check(reservoir, reference)
+
+    def test_delete_to_empty_and_refill(self):
+        elements = [Element("d", 4 * i + 1, 4 * i + 3) for i in range(12)]
+        reservoir = ReservoirSample(5, seed=2)
+        reference = _ListScanReservoir(5, seed=2)
+        for round_ in range(3):
+            for element in elements:
+                reservoir.add(element)
+                reference.add(element)
+                self._check(reservoir, reference)
+            for element in reversed(elements):
+                reservoir.remove(Element("d", element.start, element.end))
+                reference.remove(Element("d", element.start, element.end))
+                self._check(reservoir, reference)
+            assert reservoir.live == 0 and len(reservoir) == 0

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import random
+import sys
+from collections import OrderedDict
+
 import pytest
 
 from repro.catalog.catalog import StatisticsCatalog
@@ -20,6 +24,107 @@ from repro.perf import (
     resolve_cache,
     use_cache,
 )
+from repro.perf import cache as cache_module
+from repro.perf.cache import approx_nbytes
+
+#: Python < 3.11 sizes the int 0 four bytes below every other small int,
+#: so a container whose first element holds a 0 (bucket 0 of a
+#: histogram) is not uniformly sized there.
+UNIFORM_SMALL_INTS = sys.getsizeof(0) == sys.getsizeof(1)
+
+
+def _key_mentions(key, fingerprint):
+    """Reference: whether ``fingerprint`` appears anywhere in a key."""
+    if isinstance(key, str):
+        return key == fingerprint
+    if isinstance(key, tuple):
+        return any(_key_mentions(part, fingerprint) for part in key)
+    return False
+
+
+def _deep_nbytes(value, depth=4):
+    """Reference: the walk over every element that approx_nbytes
+    replaces with its first-element rule."""
+    arr_nbytes = getattr(value, "nbytes", None)
+    if isinstance(arr_nbytes, int):
+        return int(arr_nbytes) + 96
+    total = sys.getsizeof(value, 64)
+    if depth <= 0:
+        return total
+    if isinstance(value, dict):
+        for key, item in value.items():
+            total += _deep_nbytes(key, depth - 1)
+            total += _deep_nbytes(item, depth - 1)
+    elif isinstance(value, (list, tuple, set, frozenset)):
+        for item in value:
+            total += _deep_nbytes(item, depth - 1)
+    else:
+        state = getattr(value, "__dict__", None)
+        if state is not None:
+            for item in state.values():
+                total += _deep_nbytes(item, depth - 1)
+        elif hasattr(type(value), "__slots__"):
+            for slot in type(value).__slots__:
+                total += _deep_nbytes(getattr(value, slot, None), depth - 1)
+    return total
+
+
+class _ReferenceCache:
+    """SummaryCache semantics by brute force: a scan per invalidation,
+    the deep walk per insert."""
+
+    def __init__(self, maxsize):
+        self.maxsize = maxsize
+        self.data = OrderedDict()
+        self.sizes = {}
+        self.hits = self.misses = self.evictions = self.invalidations = 0
+        self.nbytes = 0
+
+    def _store(self, key, value):
+        if key not in self.data:
+            self.sizes[key] = _deep_nbytes(value)
+            self.nbytes += self.sizes[key]
+        self.data[key] = value
+        self.data.move_to_end(key)
+        while len(self.data) > self.maxsize:
+            victim, __ = self.data.popitem(last=False)
+            self.nbytes -= self.sizes.pop(victim)
+            self.evictions += 1
+
+    def get_or_build(self, key, builder):
+        if key in self.data:
+            self.data.move_to_end(key)
+            self.hits += 1
+            return self.data[key]
+        self.misses += 1
+        value = builder()
+        self._store(key, value)
+        return value
+
+    def peek(self, key, default=None):
+        if key in self.data:
+            self.data.move_to_end(key)
+            self.hits += 1
+            return self.data[key]
+        self.misses += 1
+        return default
+
+    def put(self, key, value):
+        self._store(key, value)
+
+    def invalidate_fingerprint(self, fingerprint):
+        victims = [k for k in self.data if _key_mentions(k, fingerprint)]
+        for key in victims:
+            del self.data[key]
+            self.nbytes -= self.sizes.pop(key)
+        self.invalidations += len(victims)
+        return len(victims)
+
+    def clear(self):
+        self.data.clear()
+        self.sizes.clear()
+        self.hits = self.misses = self.evictions = self.invalidations = 0
+        self.nbytes = 0
 
 
 class TestSummaryCache:
@@ -59,6 +164,227 @@ class TestSummaryCache:
         cache.clear()
         assert len(cache) == 0
         assert cache.stats()["hit_rate"] == 0.0
+
+
+FINGERPRINTS = ("fp-a", "fp-b", "fp-c", "fp-d", "fp-e")
+
+
+def _random_key(rng):
+    """A nested-tuple content key; several fingerprints per key, and
+    fingerprints recur across kinds, depths and bare-string keys."""
+    fp = rng.choice(FINGERPRINTS)
+    other = rng.choice(FINGERPRINTS)
+    shape = rng.randrange(6)
+    if shape == 0:
+        return ("pl-ancestor", fp, (1, 4096), 16, "clipped", None)
+    if shape == 1:
+        return ("arena", fp)
+    if shape == 2:
+        return ("pair", (fp, other), rng.randrange(1, 4))
+    if shape == 3:
+        return (("nested", ("deeper", fp)), rng.randrange(1, 3))
+    if shape == 4:
+        return fp  # a bare string key is its own fingerprint
+    return ("no-fingerprint", rng.randrange(1, 4))
+
+
+def _random_value(rng):
+    """Uniformly sized values, so the first-element rule is exact."""
+    length = rng.randrange(0, 40)
+    shape = rng.randrange(4)
+    if shape == 0:
+        return [rng.random() for __ in range(length)]
+    if shape == 1:
+        return tuple(rng.randrange(1, 1 << 20) for __ in range(length))
+    if shape == 2:
+        return {(i + 1, i + 2): i + 3 for i in range(length)}
+    return "x" * length
+
+
+class TestSummaryCacheDifferential:
+    """Index-backed invalidation and shape sizing ≡ scan and deep walk."""
+
+    def _check(self, cache, reference):
+        assert list(cache._data) == list(reference.data)  # LRU order
+        assert cache.hits == reference.hits
+        assert cache.misses == reference.misses
+        assert cache.evictions == reference.evictions
+        assert cache.invalidations == reference.invalidations
+        assert cache.nbytes == reference.nbytes
+        assert len(cache) == len(reference.data)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_op_sequence(self, seed):
+        rng = random.Random(seed)
+        maxsize = rng.choice((3, 6, 12))
+        cache = SummaryCache(maxsize=maxsize)
+        reference = _ReferenceCache(maxsize)
+        for __ in range(400):
+            op = rng.choices(
+                ("get_or_build", "put", "peek", "invalidate", "clear"),
+                weights=(8, 4, 4, 3, 0.2),
+            )[0]
+            if op == "get_or_build":
+                key, value = _random_key(rng), _random_value(rng)
+                got = cache.get_or_build(key, lambda: value)
+                assert got == reference.get_or_build(key, lambda: value)
+            elif op == "put":
+                key, value = _random_key(rng), _random_value(rng)
+                assert cache.put(key, value) is None
+                reference.put(key, value)
+            elif op == "peek":
+                key = _random_key(rng)
+                assert cache.peek(key, "absent") == reference.peek(
+                    key, "absent"
+                )
+            elif op == "invalidate":
+                fingerprint = rng.choice(FINGERPRINTS + ("clipped", "nope"))
+                assert cache.invalidate_fingerprint(
+                    fingerprint
+                ) == reference.invalidate_fingerprint(fingerprint)
+            else:
+                cache.clear()
+                reference.clear()
+            self._check(cache, reference)
+
+    def test_index_is_built_by_the_first_invalidation_only(self):
+        cache = SummaryCache()
+        for i in range(5):
+            cache.put(("summary", f"fp-{i}"), i + 1)
+        cache.peek(("summary", "fp-0"))
+        assert cache._index is None  # never invalidated: no index
+        assert cache.invalidate_fingerprint("fp-3") == 1
+        assert cache._index is not None
+        assert ("summary", "fp-3") not in cache
+
+
+class TestSummaryCacheThreads:
+    def test_concurrent_writers_keep_index_and_bytes_consistent(self):
+        """More threads than cores on one cache: no lost update in the
+        entry map, the sizes or the fingerprint index."""
+        import threading
+
+        cache = SummaryCache(maxsize=16)
+        cache.invalidate_fingerprint("fp-a")  # index on from the start
+        errors = []
+
+        def churn(seed):
+            rng = random.Random(seed)
+            try:
+                for __ in range(400):
+                    key = _random_key(rng)
+                    roll = rng.random()
+                    if roll < 0.4:
+                        cache.get_or_build(key, lambda: [1.5] * 3)
+                    elif roll < 0.7:
+                        cache.put(key, (seed + 1,) * 2)
+                    else:
+                        cache.invalidate_fingerprint(
+                            rng.choice(FINGERPRINTS)
+                        )
+            except Exception as error:  # surfaced by the assert below
+                errors.append(error)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=churn, args=(seed,))
+                for seed in range(6)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(cache) <= 16
+        assert set(cache._sizes) == set(cache._data)
+        assert cache.nbytes == sum(cache._sizes.values())
+        indexed = {
+            token: keys for token, keys in cache._index.items() if keys
+        }
+        expected = {}
+        for key in cache._data:
+            for token in FINGERPRINTS + ("pl-ancestor", "arena"):
+                if _key_mentions(key, token):
+                    expected.setdefault(token, set()).add(key)
+        for token, keys in expected.items():
+            assert indexed[token] == keys
+        for keys in indexed.values():
+            assert keys <= set(cache._data)
+
+
+@pytest.fixture(scope="module")
+def artifacts():
+    """One of each summary and index the churn workload caches."""
+    from repro.datasets import generate_xmark
+    from repro.estimators.ph_histogram import cell_histogram
+    from repro.estimators.pl_histogram import PLHistogram, equi_depth_edges
+    from repro.kernels.arena import OperandArena
+    from repro.perf.index_cache import IndexCache
+
+    dataset = generate_xmark(scale=0.05, seed=42)
+    workspace = dataset.tree.workspace()
+    ancestors = dataset.node_set("desp")
+    descendants = dataset.node_set("text")
+    return {
+        "pl-ancestor": PLHistogram.build_ancestor(ancestors, workspace, 16),
+        "pl-descendant": PLHistogram.build_descendant(
+            descendants, workspace, 16
+        ),
+        "ph-cells": cell_histogram(ancestors, workspace, 5),
+        "pl-edges": equi_depth_edges(descendants, workspace, 16),
+        "arena": OperandArena(ancestors),
+        "stab": IndexCache().stabbing_counter(ancestors),
+    }
+
+
+class TestApproxNbytes:
+    @pytest.mark.parametrize(
+        "name",
+        ["pl-ancestor", "pl-descendant", "ph-cells", "pl-edges", "arena",
+         "stab"],
+    )
+    def test_cached_artifacts_size_as_the_deep_walk(self, artifacts, name):
+        value = artifacts[name]
+        if UNIFORM_SMALL_INTS:
+            assert approx_nbytes(value) == _deep_nbytes(value)
+        else:
+            assert approx_nbytes(value) == pytest.approx(
+                _deep_nbytes(value), rel=0.05
+            )
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            0, 7, 2**40, 1.5, True, None, "", "abc", b"xy",
+            [], (), {}, set(),
+            {1.5, "a" * 100, (1, 2, 3)},  # a set is walked in full
+            [[[[[1.5]]]]],  # deeper than the depth bound
+        ],
+    )
+    def test_edge_shapes_size_as_the_deep_walk(self, value):
+        assert approx_nbytes(value) == _deep_nbytes(value)
+
+    def test_cost_follows_shape_not_length(self, monkeypatch):
+        calls = []
+        original = cache_module.approx_nbytes
+
+        def counting(value, depth=4):
+            calls.append(1)
+            return original(value, depth)
+
+        monkeypatch.setattr(cache_module, "approx_nbytes", counting)
+        counts = {}
+        for length in (10, 10_000):
+            calls.clear()
+            value = [(float(i), i + 0.5) for i in range(length)]
+            assert counting(value) == _deep_nbytes(value)
+            counts[length] = len(calls)
+        assert counts[10_000] <= counts[10]
 
 
 class TestAmbientCache:

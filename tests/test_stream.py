@@ -16,7 +16,7 @@ from repro.core.element import Element
 from repro.core.errors import ServiceError, StreamError
 from repro.core.nodeset import NodeSet
 from repro.core.workspace import Workspace
-from repro.perf.cache import SummaryCache, _key_mentions
+from repro.perf.cache import SummaryCache
 from repro.service import EstimationService
 from repro.service.request import EstimateRequest
 from repro.service.wire import (
@@ -266,9 +266,7 @@ class TestFingerprintInvalidation:
         assert live.invalidated_entries == 1
         assert ("summary", old_fp) not in cache
         assert cache.peek(("summary", "unrelated-fp")) == "other-tenant"
-        assert not any(
-            _key_mentions(key, old_fp) for key in list(cache._data)
-        )
+        assert not any(old_fp in key for key in list(cache._data))
 
     def test_post_mutation_estimates_never_stale(self):
         """Property: a served estimate always reflects the live data."""
@@ -323,6 +321,77 @@ class TestFingerprintInvalidation:
         assert cache.hits == hits_before  # churn never read beta's key
         assert cache.peek(("summary", beta_fp)) == "beta-entry"
         assert ("summary", beta_fp) in cache
+
+
+class TestCacheDetach:
+    """A closed service's caches leave the live store it served."""
+
+    def test_open_close_cycles_keep_only_the_open_caches(self):
+        store = CatalogStore()
+        alpha = store.create(
+            "alpha", WORKSPACE, elements=_pool(), num_buckets=8
+        )
+        beta = store.create(
+            "beta", WORKSPACE, elements=_pool(offset=500), num_buckets=8
+        )
+        toggle = Element("a", 1, 9)
+        live_now = True  # toggle is in alpha's bootstrap population
+        closed: list[SummaryCache] = []
+        for __ in range(5):
+            service = EstimationService(
+                live=store, workers=0, memoize=False
+            )
+            caches = (service.summary_cache, service.index_cache)
+            for holder in (store, alpha, beta):
+                assert len(holder._caches) == 2
+                assert all(a is b for a, b in zip(holder._caches, caches))
+            response = service.estimate(
+                "a", "d", "PL", num_buckets=8, tenant="alpha"
+            )
+            assert response.status == "ok"
+            # Entries a still-attached closed cache would have dropped.
+            fingerprint = alpha.fingerprint("a")
+            for cache in closed:
+                cache.put(("probe", fingerprint), 1)
+            dropped_before = [cache.invalidations for cache in closed]
+            alpha.apply(
+                [Mutation("delete" if live_now else "insert", toggle)]
+            )
+            live_now = not live_now
+            assert service.summary_cache.invalidations > 0
+            assert [c.invalidations for c in closed] == dropped_before
+            assert all(("probe", fingerprint) in c for c in closed)
+            service.close()
+            closed.extend(caches)
+        for holder in (store, alpha, beta):
+            assert holder._caches == ()
+
+    def test_closed_caches_are_not_kept_alive(self):
+        import gc
+        import weakref
+
+        live = LiveWorkspace(WORKSPACE, elements=_pool(), seed=0)
+        refs = []
+        for __ in range(3):
+            service = EstimationService(live=live, workers=0)
+            service.estimate("a", "d", "PL", num_buckets=8)
+            refs.append(weakref.ref(service.summary_cache))
+            service.close()
+            del service
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        assert live._caches == ()
+
+    def test_store_attach_skips_held_caches(self):
+        cache = SummaryCache()
+        store = CatalogStore()
+        store.attach_caches(cache, cache, None)
+        store.attach_caches(cache)
+        alpha = store.create("alpha", WORKSPACE, elements=_pool())
+        assert len(store._caches) == 1 and len(alpha._caches) == 1
+        store.detach_caches(cache)
+        assert store._caches == () and alpha._caches == ()
+        store.detach_caches(cache, None)  # not attached: ignored
 
 
 class TestServiceLiveWiring:
