@@ -25,6 +25,10 @@ from repro.core.errors import (
 )
 from repro.core.workspace import Workspace
 
+#: Every integer below this magnitude is exactly representable as a
+#: float64.
+_EXACT_FLOAT_INTEGERS = 2**53
+
 
 class NodeSet:
     """An immutable, start-ordered collection of region-coded elements.
@@ -289,9 +293,21 @@ class NodeSet:
 
     @cached_property
     def average_length(self) -> float:
-        """Mean region length, 0.0 for an empty set."""
-        if len(self) == 0:
+        """Mean region length, 0.0 for an empty set.
+
+        ``(Σ ends − Σ starts) / n`` from two integer sums, so no
+        :attr:`lengths` array is allocated.  With every ``start < end``
+        and a length sum below 2**53 this is bit-identical to
+        ``float(self.lengths.mean())``: numpy's float sum of such
+        lengths is exact, and both divisions round correctly.  Larger
+        sums fall back to that expression.
+        """
+        count = len(self)
+        if count == 0:
             return 0.0
+        total = int(self.ends.sum()) - int(self.starts.sum())
+        if 0 <= total < _EXACT_FLOAT_INTEGERS:
+            return total / count
         return float(self.lengths.mean())
 
     def covered_length(self) -> int:

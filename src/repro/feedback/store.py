@@ -242,6 +242,18 @@ class MethodStats:
             return 0.0
         return self.latency_sum / self.count
 
+    def copy(self) -> "MethodStats":
+        """An independent copy, field by field (no ``fields()`` walk)."""
+        return MethodStats(
+            self.count,
+            self.truth_count,
+            self.abs_error_sum,
+            self.error_sum,
+            self.latency_sum,
+            self.ewma_latency_s,
+            self._EWMA_ALPHA,
+        )
+
     def merge(self, other: "MethodStats") -> None:
         if other.count:
             # Deterministic tie-less combination: the merged EWMA is the
@@ -316,7 +328,9 @@ class FeedbackStore:
         self._lock = threading.Lock()
         self._records: list[FeedbackRecord] = []
         self._dropped = 0
-        self._stats: dict[tuple[str, str], MethodStats] = {}
+        # query class -> method -> cell: a routed request reads one
+        # class's arms without touching the rest of the store.
+        self._stats: dict[str, dict[str, MethodStats]] = {}
         self._truths: dict[str, float] = {}
 
     # ------------------------------------------------------------------
@@ -388,9 +402,12 @@ class FeedbackStore:
             return self._truths.get(key)
 
     def _cell(self, query_class: str, method: str) -> MethodStats:
-        cell = self._stats.get((query_class, method))
+        methods = self._stats.get(query_class)
+        if methods is None:
+            methods = self._stats[query_class] = {}
+        cell = methods.get(method)
         if cell is None:
-            cell = self._stats[(query_class, method)] = MethodStats()
+            cell = methods[method] = MethodStats()
         return cell
 
     # ------------------------------------------------------------------
@@ -422,17 +439,20 @@ class FeedbackStore:
     def classes(self) -> tuple[str, ...]:
         """Query classes seen, sorted (a deterministic iteration order)."""
         with self._lock:
-            return tuple(sorted({qc for qc, _ in self._stats}))
+            return tuple(sorted(self._stats))
 
     def method_stats(
         self, query_class: str
     ) -> dict[str, MethodStats]:
-        """Per-method aggregate *copies* for one class, sorted by method."""
+        """Per-method aggregate *copies* for one class, sorted by method.
+
+        Costs O(arms of the class): the router calls this once per
+        routed request, whatever the number of classes in the store.
+        """
         with self._lock:
+            methods = self._stats.get(query_class, {})
             return {
-                method: replace(cell)
-                for (qc, method), cell in sorted(self._stats.items())
-                if qc == query_class
+                method: methods[method].copy() for method in sorted(methods)
             }
 
     def stats(self) -> dict[str, Any]:
@@ -445,7 +465,7 @@ class FeedbackStore:
                 "records": len(self._records),
                 "dropped": self._dropped,
                 "with_truth": truth,
-                "classes": len({qc for qc, _ in self._stats}),
+                "classes": len(self._stats),
                 "truths": len(self._truths),
             }
 
@@ -465,9 +485,12 @@ class FeedbackStore:
                 "schema_version": FEEDBACK_SCHEMA_VERSION,
                 "records": [r.to_dict() for r in self._records],
                 "dropped": self._dropped,
+                # Sorted classes, then sorted methods: the order sorting
+                # the (class, method) pairs gives.
                 "stats": {
-                    f"{qc}␟{method}": cell.to_dict()
-                    for (qc, method), cell in sorted(self._stats.items())
+                    f"{qc}␟{method}": self._stats[qc][method].to_dict()
+                    for qc in sorted(self._stats)
+                    for method in sorted(self._stats[qc])
                 },
                 "truths": {
                     key: _to_wire(value)

@@ -57,10 +57,15 @@ The oracles cover the layers named in the ROADMAP's production story:
 * ``parser-fuzz`` / ``validator-fuzz`` — the invalid-input corpus is
   rejected with typed errors; random valid XML round-trips through the
   serializer with identical region codes.
+* ``wire-fuzz`` — seeded structural mutations of the case's binary and
+  JSON request payloads (truncation, frame dtype/shape/offset lies,
+  dropped header keys, out-of-range field indices, non-integer code
+  lists) are rejected with :class:`~repro.core.errors.ServiceError`.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from typing import Any, Callable, Sequence
 
@@ -793,6 +798,239 @@ def check_validator_fuzz(case: Case) -> None:
         _fail("validator-fuzz", f"Element accepted degenerate region {bad}")
 
 
+# ----------------------------------------------------------------------
+# Wire fuzzing
+# ----------------------------------------------------------------------
+
+
+def rewrite_wire_header(
+    payload: bytes, mutate: Callable[[dict[str, Any]], None]
+) -> bytes:
+    """Re-pack a binary wire payload after ``mutate`` edits its header.
+
+    The frame bytes are carried over unchanged: frame offsets are
+    relative to the frame base, which moves with the header's length.
+    """
+    from repro.service import wire
+
+    fixed = wire._HEADER_FIXED
+    length = int.from_bytes(payload[fixed - 4 : fixed], "little")
+    header = json.loads(payload[fixed : fixed + length])
+    frames = payload[wire._align(fixed + length) :]
+    mutate(header)
+    text = json.dumps(header).encode("utf-8")
+    head = bytearray(wire._align(fixed + len(text)))
+    head[: fixed - 4] = payload[: fixed - 4]  # magic and version
+    head[fixed - 4 : fixed] = len(text).to_bytes(4, "little")
+    head[fixed : fixed + len(text)] = text
+    return bytes(head) + frames
+
+
+def _parent(document: Any, path: Sequence[Any]) -> Any:
+    for key in path[:-1]:
+        document = document[key]
+    return document
+
+
+def _set_key(path: Sequence[Any], value: Any) -> Callable[[Any], None]:
+    return lambda document: _parent(document, path).__setitem__(
+        path[-1], value
+    )
+
+
+def _drop_key(path: Sequence[Any]) -> Callable[[Any], None]:
+    return lambda document: _parent(document, path).pop(path[-1])
+
+
+_ROLES = ("ancestors", "descendants")
+
+#: Per format, the keys a request cannot do without.
+_REQUIRED_KEYS = {
+    "binary": [
+        ("kind",),
+        ("request",),
+        ("request", "method"),
+        ("operands",),
+        ("frames",),
+        *(
+            ("operands", role, *tail)
+            for role in _ROLES
+            for tail in (
+                (),
+                ("fields",),
+                ("fields", "starts"),
+                ("fields", "ends"),
+            )
+        ),
+    ],
+    "json": [
+        ("kind",),
+        ("request",),
+        ("request", "method"),
+        ("operands",),
+        *(
+            ("operands", role, *tail)
+            for role in _ROLES
+            for tail in ((), ("starts",), ("ends",))
+        ),
+    ],
+}
+
+
+def _wire_mutations(
+    request: EstimateRequest, rng: np.random.Generator
+) -> list[tuple[str, bytes]]:
+    """One seeded structural mutation of ``request``'s payloads per kind,
+    each labelled for the failure message.
+
+    Every mutation breaks the wire format's structure, so a decoder must
+    reject all of them.
+    """
+    from repro.service import wire
+
+    def pick(options: Sequence[Any]) -> Any:
+        return options[int(rng.integers(len(options)))]
+
+    binary = wire.encode_request(request, wire.FORMAT_BINARY)
+    text = wire.encode_request(request, wire.FORMAT_JSON)
+    header, __ = wire._unpack(binary)
+    document = json.loads(text)
+    frames = header["frames"]
+
+    def binary_with(mutate: Callable[[Any], None]) -> bytes:
+        return rewrite_wire_header(binary, mutate)
+
+    def json_with(mutate: Callable[[Any], None]) -> bytes:
+        broken = json.loads(text)
+        mutate(broken)
+        return json.dumps(broken).encode("utf-8")
+
+    out = []
+    for name, payload in (("binary", binary), ("json", text)):
+        cut = int(rng.integers(len(payload)))
+        out.append((f"{name} truncated to {cut} bytes", payload[:cut]))
+
+    index = int(rng.integers(len(frames)))
+    count, offset = frames[index]["shape"][0], frames[index]["offset"]
+    far = int(rng.integers(1, 1 << 20))
+    lies = {
+        "dtype": ["<f8", "<i4", ">i8", "<u8", "|O", "int64", 8, None],
+        "shape": [
+            [count + far],
+            [-far],
+            [count, 1],
+            [],
+            [float(count)],
+            [str(count)],
+            count,
+            [2**62],
+            *([[count - 1]] if count else []),
+        ],
+        "offset": [
+            -wire._ALIGNMENT * far,
+            offset + 8,
+            offset + wire._ALIGNMENT,
+            float(offset),
+            str(offset),
+            2**62,
+            *(meta["offset"] for meta in frames if meta["offset"] != offset),
+        ],
+    }
+    for key, options in lies.items():
+        value = pick(options)
+        out.append(
+            (
+                f"frame {index} {key} {value!r} (was {frames[index][key]!r})",
+                binary_with(_set_key(("frames", index, key), value)),
+            )
+        )
+
+    for name, with_ in (("binary", binary_with), ("json", json_with)):
+        path = pick(_REQUIRED_KEYS[name])
+        label = f"{name} request without {'.'.join(path)}"
+        out.append((label, with_(_drop_key(path))))
+
+    role = pick(_ROLES)
+    fields = header["operands"][role]["fields"]
+    field = pick(sorted(fields))
+    target = pick(
+        [
+            len(frames) + far,
+            -pick(range(1, len(frames) + 1)),
+            float(fields[field]),
+            None,
+        ]
+    )
+    out.append(
+        (
+            f"{role}.{field} names frame {target!r} of {len(frames)}",
+            binary_with(_set_key(("operands", role, "fields", field), target)),
+        )
+    )
+
+    role, field = pick(_ROLES), pick(("starts", "ends"))
+    codes = document["operands"][role][field] or [0]
+    kind, lying = pick(
+        [
+            ("float", [code + 0.5 for code in codes]),
+            ("string", [str(code) for code in codes]),
+            ("nested", [[code] for code in codes]),
+            ("beyond int64", [code + 2**64 for code in codes]),
+        ]
+    )
+    out.append(
+        (
+            f"json {role}.{field} as {kind}",
+            json_with(_set_key(("operands", role, field), lying)),
+        )
+    )
+    out.append(("json top-level array", json.dumps([document]).encode()))
+    return out
+
+
+#: Mutation rounds per case: about 30 decodes, a small share of the
+#: time the other oracles spend on one case.
+_WIRE_FUZZ_ROUNDS = 3
+
+
+def check_wire_fuzz(case: Case) -> None:
+    """Structurally broken request payloads raise ``ServiceError``.
+
+    The case's operands are encoded in both wire formats and mutated
+    by :func:`_wire_mutations`, several rounds.  Each mutated payload
+    must be rejected with :class:`~repro.core.errors.ServiceError`; an
+    accepted payload or any other exception is a finding.  The
+    unmutated payloads must still decode.
+    """
+    from repro.core.errors import ServiceError
+    from repro.service import wire
+
+    request = EstimateRequest(
+        ancestors=case.ancestors,
+        descendants=case.descendants,
+        method="IM",
+        workspace=case.workspace,
+        config={"num_samples": 1, "seed": case.seed},
+        request_id="wire-fuzz",
+    )
+    for wire_format in wire.KNOWN_FORMATS:
+        wire.decode_request(wire.encode_request(request, wire_format))
+    rng = make_rng(case.seed ^ 0x3A7E)
+    for __ in range(_WIRE_FUZZ_ROUNDS):
+        for label, payload in _wire_mutations(request, rng):
+            try:
+                wire.decode_request(payload)
+            except ServiceError:
+                continue
+            except Exception as error:
+                _fail(
+                    "wire-fuzz",
+                    f"{label}: decode raised untyped "
+                    f"{type(error).__name__}: {error}",
+                )
+            _fail("wire-fuzz", f"{label}: decode accepted the payload")
+
+
 def check_planner_invariance(case: Case) -> None:
     """Planner output is invariant to generator describe()/setup order.
 
@@ -1142,4 +1380,5 @@ ORACLES: dict[str, Callable[[Case], None]] = {
     "metamorphic": check_metamorphic,
     "parser-fuzz": check_parser_fuzz,
     "validator-fuzz": check_validator_fuzz,
+    "wire-fuzz": check_wire_fuzz,
 }

@@ -33,11 +33,12 @@ exactly — the qa wire oracle asserts it.
 from __future__ import annotations
 
 import json
+from array import array
 from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from repro.core.errors import ServiceError
+from repro.core.errors import ReproError, ServiceError
 from repro.core.nodeset import NodeSet
 from repro.core.workspace import Workspace
 from repro.estimators.base import Estimate
@@ -55,6 +56,22 @@ KNOWN_FORMATS = (FORMAT_BINARY, FORMAT_JSON)
 
 _ALIGNMENT = 64
 _HEADER_FIXED = len(MAGIC) + 1 + 4  # magic + version byte + u32 length
+
+#: The one frame type: operand arrays are region codes, int64 on the wire.
+_FRAME_DTYPE = np.dtype("<i8")
+
+#: What a structurally invalid payload raises inside decode, re-raised
+#: at the boundary as :class:`ServiceError` (``ServiceError`` itself
+#: passes through; every other :class:`ReproError` is converted).
+_STRUCTURAL_ERRORS = (
+    ReproError,
+    LookupError,
+    TypeError,
+    ValueError,
+    AttributeError,
+    OverflowError,
+    RecursionError,
+)
 
 
 def _align(offset: int) -> int:
@@ -119,6 +136,12 @@ def _request_from_meta(
     meta: dict[str, Any], ancestors: NodeSet, descendants: NodeSet
 ) -> EstimateRequest:
     workspace = meta.get("workspace")
+    config = meta.get("config") or {}
+    if not isinstance(config, dict):
+        raise ServiceError(
+            f"request config must be a JSON object, got "
+            f"{type(config).__name__}"
+        )
     return EstimateRequest(
         ancestors=ancestors,
         descendants=descendants,
@@ -128,7 +151,7 @@ def _request_from_meta(
             if workspace is not None
             else None
         ),
-        config=dict(meta.get("config") or {}),
+        config=dict(config),
         deadline_s=meta.get("deadline_s"),
         # Older peers predate bounded staleness; absent means no bound.
         max_staleness_s=meta.get("max_staleness_s"),
@@ -210,10 +233,22 @@ def _pack(header: dict[str, Any], frames: Sequence[np.ndarray]) -> bytes:
 def _unpack(
     payload: bytes | bytearray | memoryview,
 ) -> tuple[dict[str, Any], list[np.ndarray]]:
-    """Parse the envelope; frames are zero-copy views into ``payload``."""
+    """Parse the envelope; frames are zero-copy views into ``payload``.
+
+    Every frame must be laid out as :func:`_pack` writes it: a 1-D
+    ``<i8`` array whose one-element shape gives its element count,
+    64-byte aligned, after the previous frame and inside the payload.
+    The checks are scalar comparisons per frame; a payload that fails
+    one raises :class:`ServiceError` instead of decoding a wrong view.
+    """
     view = memoryview(payload)
     if bytes(view[: len(MAGIC)]) != MAGIC:
         raise ServiceError("not a binary wire payload (bad magic)")
+    if len(view) < _HEADER_FIXED:
+        raise ServiceError(
+            f"truncated wire payload: {len(view)} bytes, the fixed "
+            f"header alone is {_HEADER_FIXED}"
+        )
     version = view[len(MAGIC)]
     if version != WIRE_VERSION:
         raise ServiceError(
@@ -223,22 +258,63 @@ def _unpack(
     header_len = int.from_bytes(
         bytes(view[len(MAGIC) + 1 : _HEADER_FIXED]), "little"
     )
+    base = _align(_HEADER_FIXED + header_len)
+    if base > len(view):
+        raise ServiceError(
+            f"truncated wire payload: {len(view)} bytes, the header "
+            f"claims {header_len} (frames start at {base})"
+        )
     try:
         header = json.loads(
             bytes(view[_HEADER_FIXED : _HEADER_FIXED + header_len])
         )
-    except ValueError as error:
+    except (ValueError, RecursionError) as error:
         raise ServiceError(f"malformed wire header: {error}") from error
-    base = _align(_HEADER_FIXED + header_len)
+    if not isinstance(header, dict):
+        raise ServiceError(
+            f"wire header must be a JSON object, got "
+            f"{type(header).__name__}"
+        )
+    frames = header.get("frames", [])
+    if not isinstance(frames, list):
+        raise ServiceError("wire header 'frames' must be a list")
+    room = len(view) - base
+    end = 0
     arrays = []
-    for meta in header.get("frames", ()):
-        dtype = np.dtype(meta["dtype"])
-        shape = tuple(int(n) for n in meta["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        array = np.frombuffer(
-            view, dtype=dtype, count=count, offset=base + int(meta["offset"])
-        ).reshape(shape)
-        arrays.append(array)
+    for index, meta in enumerate(frames):
+        if not isinstance(meta, dict) or meta.get("dtype") != _FRAME_DTYPE.str:
+            raise ServiceError(
+                f"frame {index}: dtype must be {_FRAME_DTYPE.str!r}"
+            )
+        shape, offset = meta.get("shape"), meta.get("offset")
+        if not (
+            type(shape) is list
+            and len(shape) == 1
+            and type(shape[0]) is int
+            and shape[0] >= 0
+        ):
+            raise ServiceError(
+                f"frame {index}: shape must be [n] with integer n >= 0, "
+                f"got {shape!r}"
+            )
+        if type(offset) is not int or offset < end or offset % _ALIGNMENT:
+            raise ServiceError(
+                f"frame {index}: offset must be a {_ALIGNMENT}-byte "
+                f"aligned integer >= {end} (the previous frame's end), "
+                f"got {offset!r}"
+            )
+        count = shape[0]
+        end = offset + count * _FRAME_DTYPE.itemsize
+        if end > room:
+            raise ServiceError(
+                f"frame {index}: bytes [{offset}, {end}) lie past the "
+                f"payload's {room} frame bytes"
+            )
+        arrays.append(
+            np.frombuffer(
+                view, dtype=_FRAME_DTYPE, count=count, offset=base + offset
+            )
+        )
     return header, arrays
 
 
@@ -264,17 +340,67 @@ def _operand_header(
     }
 
 
+def _operand_labels(meta: dict[str, Any]) -> tuple[str | None, str | None]:
+    """An operand's optional ``name`` and ``fingerprint``, type-checked.
+
+    The fingerprint is the sender's word: it is not re-hashed here (see
+    the trust boundary in docs/API.md).
+    """
+    labels = meta.get("name"), meta.get("fingerprint")
+    for key, value in zip(("name", "fingerprint"), labels):
+        if value is not None and not isinstance(value, str):
+            raise ServiceError(
+                f"operand {key} must be a string, got "
+                f"{type(value).__name__}"
+            )
+    return labels
+
+
 def _operand_from_header(
     meta: dict[str, Any], arrays: Sequence[np.ndarray]
 ) -> NodeSet:
-    views = {
-        name: arrays[int(index)]
-        for name, index in meta["fields"].items()
-    }
+    views = {}
+    for field, index in meta["fields"].items():
+        if type(index) is not int or not 0 <= index < len(arrays):
+            raise ServiceError(
+                f"operand field {field!r} names frame {index!r}; the "
+                f"payload has {len(arrays)}"
+            )
+        views[field] = arrays[index]
+    length = len(views["starts"])
+    for field, view in views.items():
+        if len(view) != length:
+            raise ServiceError(
+                f"operand field {field!r} has {len(view)} codes, "
+                f"'starts' has {length}"
+            )
+    name, fingerprint = _operand_labels(meta)
     arena = OperandArena.from_shard_views(
-        views, name=meta.get("name"), fingerprint=meta.get("fingerprint")
+        views, name=name, fingerprint=fingerprint
     )
     return arena.node_set
+
+
+def _json_codes(values: Any, field: str) -> np.ndarray:
+    """A JSON code list as a 1-D int64 array; an empty list is empty.
+
+    ``array("q", ...)`` accepts integers only, where numpy's typed
+    conversion (as fast) truncates floats and parses strings: floats,
+    strings, nulls, nested lists and integers beyond int64 are rejected,
+    not truncated or wrapped.  JSON booleans are integers to Python's
+    JSON reader and read as 0 and 1.
+    """
+    if not isinstance(values, list):
+        raise ServiceError(
+            f"operand {field} must be a list, got {type(values).__name__}"
+        )
+    try:
+        codes = array("q", values)
+    except (TypeError, OverflowError) as error:
+        raise ServiceError(
+            f"operand {field} must be a flat list of int64 codes: {error}"
+        ) from error
+    return np.frombuffer(codes, dtype=np.int64)
 
 
 def encode_request(
@@ -323,6 +449,56 @@ def encode_request_json(request: EstimateRequest) -> bytes:
     return json.dumps(document, separators=(",", ":")).encode("utf-8")
 
 
+def _parse_json(payload: bytes | bytearray | memoryview, what: str) -> Any:
+    try:
+        return json.loads(bytes(memoryview(payload)))
+    except (ValueError, RecursionError) as error:
+        raise ServiceError(f"malformed JSON {what}: {error}") from error
+
+
+def _expect_kind(document: Any, kind: str) -> None:
+    if not isinstance(document, dict):
+        raise ServiceError(
+            f"expected an {kind} object, got a JSON "
+            f"{type(document).__name__}"
+        )
+    if document.get("kind") != kind:
+        raise ServiceError(
+            f"expected an {kind} payload, got {document.get('kind')!r}"
+        )
+
+
+def _decode_binary_request(
+    payload: bytes | bytearray | memoryview,
+) -> EstimateRequest:
+    header, arrays = _unpack(payload)
+    _expect_kind(header, "estimate_request")
+    operands = header["operands"]
+    ancestors = _operand_from_header(operands["ancestors"], arrays)
+    descendants = _operand_from_header(operands["descendants"], arrays)
+    return _request_from_meta(header["request"], ancestors, descendants)
+
+
+def _decode_json_request(
+    payload: bytes | bytearray | memoryview,
+) -> EstimateRequest:
+    document = _parse_json(payload, "request")
+    _expect_kind(document, "estimate_request")
+    operands = {}
+    for role in ("ancestors", "descendants"):
+        meta = document["operands"][role]
+        name, fingerprint = _operand_labels(meta)
+        operands[role] = NodeSet.from_arrays(
+            _json_codes(meta["starts"], f"{role} starts"),
+            _json_codes(meta["ends"], f"{role} ends"),
+            name=name,
+            fingerprint=fingerprint,
+        )
+    return _request_from_meta(
+        document["request"], operands["ancestors"], operands["descendants"]
+    )
+
+
 def decode_request(
     payload: bytes | bytearray | memoryview,
 ) -> tuple[EstimateRequest, str]:
@@ -330,46 +506,24 @@ def decode_request(
 
     Returns ``(request, format)`` — the detected format lets an endpoint
     answer in kind.  Binary operand arrays are zero-copy views into
-    ``payload``; keep the buffer alive as long as the request.
+    ``payload``; keep the buffer alive as long as the request.  Any
+    structurally invalid payload raises :class:`ServiceError`.
     """
     detected = sniff_format(payload)
-    if detected == FORMAT_BINARY:
-        header, arrays = _unpack(payload)
-        if header.get("kind") != "estimate_request":
-            raise ServiceError(
-                f"expected an estimate_request payload, "
-                f"got {header.get('kind')!r}"
-            )
-        operands = header["operands"]
-        ancestors = _operand_from_header(operands["ancestors"], arrays)
-        descendants = _operand_from_header(operands["descendants"], arrays)
-        return _request_from_meta(header["request"], ancestors, descendants), (
-            FORMAT_BINARY
-        )
-    try:
-        document = json.loads(bytes(memoryview(payload)))
-    except ValueError as error:
-        raise ServiceError(f"malformed JSON request: {error}") from error
-    if document.get("kind") != "estimate_request":
-        raise ServiceError(
-            f"expected an estimate_request payload, "
-            f"got {document.get('kind')!r}"
-        )
-    operands = {}
-    for role in ("ancestors", "descendants"):
-        meta = document["operands"][role]
-        operands[role] = NodeSet.from_arrays(
-            np.asarray(meta["starts"], dtype=np.int64),
-            np.asarray(meta["ends"], dtype=np.int64),
-            name=meta.get("name"),
-            fingerprint=meta.get("fingerprint"),
-        )
-    return (
-        _request_from_meta(
-            document["request"], operands["ancestors"], operands["descendants"]
-        ),
-        FORMAT_JSON,
+    decode = (
+        _decode_binary_request
+        if detected == FORMAT_BINARY
+        else _decode_json_request
     )
+    try:
+        return decode(payload), detected
+    except ServiceError:
+        raise
+    except _STRUCTURAL_ERRORS as error:
+        raise ServiceError(
+            f"malformed {detected} request: "
+            f"{type(error).__name__}: {error}"
+        ) from error
 
 
 # ----------------------------------------------------------------------
@@ -405,20 +559,22 @@ def encode_response(
 def decode_response(
     payload: bytes | bytearray | memoryview,
 ) -> EstimateResponse:
-    """Parse a response payload in either format."""
-    if sniff_format(payload) == FORMAT_BINARY:
-        header, __ = _unpack(payload)
-        document = header
-    else:
-        try:
-            document = json.loads(bytes(memoryview(payload)))
-        except ValueError as error:
-            raise ServiceError(
-                f"malformed JSON response: {error}"
-            ) from error
-    if document.get("kind") != "estimate_response":
+    """Parse a response payload in either format.
+
+    Any structurally invalid payload raises :class:`ServiceError`.
+    """
+    detected = sniff_format(payload)
+    try:
+        if detected == FORMAT_BINARY:
+            document, __ = _unpack(payload)
+        else:
+            document = _parse_json(payload, "response")
+        _expect_kind(document, "estimate_response")
+        return _response_from_dict(document["response"])
+    except ServiceError:
+        raise
+    except _STRUCTURAL_ERRORS as error:
         raise ServiceError(
-            f"expected an estimate_response payload, "
-            f"got {document.get('kind')!r}"
-        )
-    return _response_from_dict(document["response"])
+            f"malformed {detected} response: "
+            f"{type(error).__name__}: {error}"
+        ) from error

@@ -6,6 +6,9 @@ name; aliases and case variants resolve; errors carry a nearest-match
 hint; ``build_catalog`` accepts datasets and plain-int budgets.
 """
 
+import re
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -173,6 +176,14 @@ class TestPublicSurface:
         parts = repro.__version__.split(".")
         assert len(parts) == 3
         assert all(p.isdigit() for p in parts)
+        # pyproject.toml is what `pip install` reports; read it with a
+        # regex because Python 3.10 has no tomllib.
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        match = re.search(
+            r'^version\s*=\s*"([^"]+)"', pyproject.read_text(), re.MULTILINE
+        )
+        assert match is not None
+        assert match.group(1) == repro.__version__
 
 
 class TestModuleResolution:

@@ -10,16 +10,20 @@ runtime, and the service/optimizer integration points.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import repro
 from repro import api
 from repro.core.errors import FeedbackError, ReproError
+from repro.core.nodeset import NodeSet
 from repro.feedback import (
     CorrectionModel,
     FeedbackRecord,
     FeedbackStore,
+    MethodStats,
     featurize,
     mean_relative_error,
     pair_key,
@@ -216,6 +220,161 @@ class TestFeedbackStore:
         snapshot["schema_version"] = 0
         with pytest.raises(FeedbackError):
             FeedbackStore.from_snapshot(snapshot)
+
+
+class FlatStore(FeedbackStore):
+    """The reference layout: one dict keyed by ``(class, method)``,
+    read by sorting every cell and ``replace``-copying the matches.
+
+    Every aggregate update (``add``, truth back-fill, ``merge``) goes
+    through ``_cell``, so overriding it routes them all here.
+    """
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.flat: dict[tuple[str, str], MethodStats] = {}
+
+    def _cell(self, query_class, method):
+        cell = self.flat.get((query_class, method))
+        if cell is None:
+            cell = self.flat[(query_class, method)] = MethodStats()
+        return cell
+
+    def method_stats(self, query_class):
+        with self._lock:
+            return {
+                method: replace(cell)
+                for (qc, method), cell in sorted(self.flat.items())
+                if qc == query_class
+            }
+
+    def snapshot(self):
+        snapshot = super().snapshot()
+        snapshot["stats"] = {
+            f"{qc}␟{method}": cell.to_dict()
+            for (qc, method), cell in sorted(self.flat.items())
+        }
+        return snapshot
+
+
+#: Classes sharing prefixes: sorting the joined "class␟method" strings
+#: would order these differently from sorting (class, method) pairs.
+_PREFIX_CLASSES = ("a[3]//d[4]", "a[3]//d[40]", "a[3]//d[4]x", "a[30]//d[4]")
+_METHODS = ("PM", "IM", "PL", "CROSS", "BOUND", "P")
+
+
+class TestFeedbackStoreDifferential:
+    """The class → method map ≡ the flat sort-everything reference."""
+
+    @staticmethod
+    def _pairs():
+        pairs = []
+        for shift in range(3):
+            a = NodeSet.from_arrays(
+                np.array([0, 2]) + 100 * shift, np.array([9, 5]) + 100 * shift
+            )
+            d = NodeSet.from_arrays(
+                np.array([3, 6]) + 100 * shift, np.array([4, 7]) + 100 * shift
+            )
+            pairs.append((a, d))
+        return pairs
+
+    @staticmethod
+    def _random_record(rng, pairs):
+        pair = rng.integers(len(pairs) + 1)
+        return _record(
+            qc=str(rng.choice(_PREFIX_CLASSES)),
+            method=str(rng.choice(_METHODS)),
+            estimate=float(rng.integers(0, 50)),
+            exact=(
+                float(rng.integers(0, 50)) if rng.random() < 0.3 else None
+            ),
+            latency_s=float(rng.random()),
+            pair_key=(
+                pair_key(*pairs[pair]) if pair < len(pairs) else None
+            ),
+        )
+
+    @staticmethod
+    def _assert_same(store, reference):
+        assert store.classes() == tuple(
+            sorted({qc for qc, __ in reference.flat})
+        )
+        for qc in (*_PREFIX_CLASSES, "never-seen"):
+            got = list(store.method_stats(qc).items())
+            want = list(reference.method_stats(qc).items())
+            assert got == want, qc
+        mine, theirs = store.snapshot(), reference.snapshot()
+        assert list(mine["stats"].items()) == list(theirs["stats"].items())
+        assert mine == theirs
+        assert store.stats() == {
+            **reference.stats(),
+            "classes": len({qc for qc, __ in reference.flat}),
+        }
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_operation_sequences(self, seed):
+        rng = np.random.default_rng(seed)
+        pairs = self._pairs()
+        store = FeedbackStore(max_records=12)
+        reference = FlatStore(max_records=12)
+        for step in range(150):
+            op = rng.choice(
+                ["add", "add", "add", "truth", "truth_key", "merge", "reload"]
+            )
+            if op == "add":
+                record = self._random_record(rng, pairs)
+                store.add(record)
+                reference.add(record)
+            elif op == "truth":
+                a, d = pairs[rng.integers(len(pairs))]
+                exact = float(rng.integers(0, 50))
+                assert store.observe_truth(a, d, exact) == (
+                    reference.observe_truth(a, d, exact)
+                )
+            elif op == "truth_key":
+                key = pair_key(*pairs[rng.integers(len(pairs))])
+                exact = float(rng.integers(0, 50))
+                assert store.observe_truth_key(key, exact) == (
+                    reference.observe_truth_key(key, exact)
+                )
+            elif op == "merge":
+                other = FeedbackStore(max_records=4)
+                for __ in range(int(rng.integers(1, 6))):
+                    other.add(self._random_record(rng, pairs))
+                snapshot = other.snapshot()
+                store.merge(snapshot)
+                reference.merge(snapshot)
+            else:
+                store = FeedbackStore.from_snapshot(
+                    store.snapshot(), max_records=12
+                )
+                reference = FlatStore.from_snapshot(
+                    reference.snapshot(), max_records=12
+                )
+            self._assert_same(store, reference)
+        assert store.classes(), "the sequence recorded nothing"
+
+    def test_returned_cells_are_copies(self):
+        store = FeedbackStore()
+        for method in _METHODS:
+            store.add(_record(method=method, estimate=3.0, exact=2.0))
+
+        def cells():
+            return {
+                method: cell.to_dict()
+                for method, cell in store.method_stats("a[3]//d[4]").items()
+            }
+
+        before, snapshot = cells(), store.snapshot()
+        for cell in store.method_stats("a[3]//d[4]").values():
+            cell.count += 100
+            cell.truth_count += 7
+            cell.abs_error_sum = -1.0
+            cell.ewma_latency_s = 99.0
+        assert cells() == before
+        assert store.snapshot() == snapshot
+        assert list(before) == sorted(_METHODS)
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,7 @@ from repro.core.element import Element
 from repro.core.errors import EmptyNodeSetError, InvalidRegionCodeError
 from repro.core.nodeset import NodeSet
 from repro.core.workspace import Workspace
+from repro.datasets.workloads import ALL_WORKLOADS
 
 
 def elements(*codes, tag="x"):
@@ -173,3 +174,57 @@ class TestQueries:
         merged = NodeSet.merge([a, b], name="ab")
         assert len(merged) == 2
         assert merged.name == "ab"
+
+
+def _mean_length(node_set):
+    """The reference: numpy's mean of the materialized lengths."""
+    return float(node_set.lengths.mean()) if len(node_set) else 0.0
+
+
+class TestAverageLength:
+    """``average_length`` from two code sums is bit-identical to
+    ``float(lengths.mean())``."""
+
+    def test_table3_operands(self, xmark_small, dblp_small, xmach_small):
+        datasets = {
+            "xmark": xmark_small,
+            "dblp": dblp_small,
+            "xmach": xmach_small,
+        }
+        checked = 0
+        for name, queries in ALL_WORKLOADS.items():
+            for query in queries:
+                for operand in query.operands(datasets[name]):
+                    # A fresh array-backed set: nothing cached yet.
+                    fresh = NodeSet.from_arrays(operand.starts, operand.ends)
+                    assert fresh.average_length == _mean_length(operand)
+                    checked += 1
+        assert checked == 48
+
+    def test_seeded_random_sets(self):
+        rng = np.random.default_rng(20030609)
+        for trial in range(2000):
+            size = int(rng.integers(1, 300))
+            starts = np.sort(
+                rng.choice(10**9, size=size, replace=False)
+            ).astype(np.int64)
+            # Lengths from 1 up to 2**50, so some sums reach 2**53.
+            scale = 2 ** int(rng.integers(1, 51))
+            ends = starts + rng.integers(1, scale + 1, size=size)
+            node_set = NodeSet.from_arrays(starts, ends)
+            assert node_set.average_length == _mean_length(node_set), trial
+
+    def test_empty_set(self):
+        assert NodeSet([]).average_length == 0.0
+        empty = np.empty(0, dtype=np.int64)
+        assert NodeSet.from_arrays(empty, empty).average_length == 0.0
+
+    def test_sum_beyond_2_53_falls_back(self):
+        # Length sum 2**53 + 2: numpy's float sum rounds 2**53 + 1 down
+        # to 2**53, so its mean (2**52) differs from the exact 2**52 + 1.
+        node_set = NodeSet.from_arrays(
+            np.array([0, 10]), np.array([2**53 + 1, 11])
+        )
+        exact = (2**53 + 2) / 2
+        assert node_set.average_length == _mean_length(node_set) == 2.0**52
+        assert node_set.average_length != exact

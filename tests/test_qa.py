@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.core.errors import InvalidRegionCodeError, ParseError
@@ -19,7 +20,11 @@ from repro.qa.generators import (
     random_document,
     random_xml,
 )
-from repro.qa.oracles import OracleFailure, check_summary_geometry
+from repro.qa.oracles import (
+    OracleFailure,
+    check_summary_geometry,
+    check_wire_fuzz,
+)
 from repro.qa.stats import run_statistical_gates
 from repro.xmltree.parser import parse_xml
 
@@ -236,3 +241,42 @@ class TestOracleSubset:
 
     def test_oracle_failure_is_assertion(self):
         assert issubclass(OracleFailure, AssertionError)
+
+
+class TestWireFuzz:
+    def test_clean_on_seeded_cases(self):
+        for seed in range(40):
+            check_wire_fuzz(random_case(seed))
+
+    def test_survives_empty_operands(self):
+        case = random_case(3)
+        empty = NodeSet([], name="D")
+        check_wire_fuzz(
+            Case(case.seed, case.ancestors, empty, case.workspace)
+        )
+
+    @staticmethod
+    def _campaign():
+        oracle = {"wire-fuzz": check_wire_fuzz}
+        report = run_qa(
+            budget_s=5.0, seed=20030609, oracles=oracle, run_gates=False
+        )
+        assert report["confirmed_findings"] == 1
+        return report["findings"][0]
+
+    def test_planted_truncating_json_decode_is_caught(self, monkeypatch):
+        # A typed numpy conversion: float codes truncate, strings parse.
+        from repro.service import wire
+
+        monkeypatch.setattr(
+            wire,
+            "_json_codes",
+            lambda values, field: np.asarray(values, dtype=np.int64),
+        )
+        assert "accepted the payload" in self._campaign()["message"]
+
+    def test_planted_untyped_errors_are_caught(self, monkeypatch):
+        from repro.service import wire
+
+        monkeypatch.setattr(wire, "_STRUCTURAL_ERRORS", ())
+        assert "untyped" in self._campaign()["message"]

@@ -14,7 +14,10 @@ Contracts pinned here:
   and the two formats produce bit-identical estimates for seeded
   requests; ``stats()["wire"]`` accounts encode/decode separately;
 * malformed payloads (bad version, wrong kind, unserializable config)
-  raise :class:`ServiceError` instead of crashing the worker.
+  raise :class:`ServiceError` instead of crashing the worker, and so do
+  structural lies — frame dtype/shape/offset, field indices, missing
+  keys, non-integer JSON code lists — that would otherwise decode a
+  wrong view or escape as an untyped error.
 """
 
 from __future__ import annotations
@@ -25,10 +28,12 @@ import math
 import numpy as np
 import pytest
 
+from repro.core.element import Element
 from repro.core.errors import ServiceError
 from repro.core.nodeset import NodeSet
 from repro.core.workspace import Workspace
 from repro.estimators.base import Estimate
+from repro.qa.oracles import rewrite_wire_header
 from repro.service import wire
 from repro.service.engine import EstimationService
 from repro.service.request import EstimateRequest, EstimateResponse
@@ -212,6 +217,42 @@ class TestResponseRoundTrip:
         assert arrays == []
 
 
+class TestEmptyOperands:
+    @pytest.fixture
+    def request_with_empty(self, operands):
+        a, __ = operands
+        return _request(a, NodeSet([], name="none"))
+
+    def test_unpack_empty_frames(self, request_with_empty):
+        payload = wire.encode_request(request_with_empty, wire.FORMAT_BINARY)
+        header, arrays = wire._unpack(payload)
+        empty = header["operands"]["descendants"]["fields"]
+        for index in empty.values():
+            assert header["frames"][index]["shape"] == [0]
+            assert arrays[index].shape == (0,)
+            assert arrays[index].dtype == np.int64
+        # The payload ends with the empty operand's frames, at their offset.
+        assert header["frames"][-1]["shape"] == [0]
+
+    def test_unpack_no_frames(self, request_with_empty):
+        payload = rewrite_wire_header(
+            wire.encode_request(request_with_empty, wire.FORMAT_BINARY),
+            lambda header: header.update(frames=[]),
+        )
+        assert wire._unpack(payload)[1] == []
+        with pytest.raises(ServiceError, match="names frame"):
+            wire.decode_request(payload)
+
+    @pytest.mark.parametrize("wire_format", wire.KNOWN_FORMATS)
+    def test_empty_operand_round_trips(self, wire_format, request_with_empty):
+        decoded, __ = wire.decode_request(
+            wire.encode_request(request_with_empty, wire_format)
+        )
+        assert len(decoded.descendants) == 0
+        assert decoded.descendants.starts.dtype == np.int64
+        _assert_requests_equal(decoded, request_with_empty)
+
+
 class TestMalformedPayloads:
     def test_bad_version(self, operands):
         a, d = operands
@@ -248,6 +289,189 @@ class TestMalformedPayloads:
         document["response"]["schema_version"] = 42
         with pytest.raises(ServiceError, match="schema_version"):
             wire.decode_response(json.dumps(document).encode())
+
+    # Structural lies.  Small operands whose ancestor starts are
+    # [0, 2, 10], so a wrong view is visible at a glance.
+
+    @pytest.fixture
+    def tiny(self):
+        a = NodeSet(
+            [Element("a", 0, 20), Element("a", 2, 9), Element("a", 10, 19)],
+            name="a",
+        )
+        d = NodeSet([Element("d", 3, 4), Element("d", 11, 12)], name="d")
+        return _request(a, d, workspace=Workspace(0, 20))
+
+    @staticmethod
+    def _frame(tiny, role="ancestors", field="starts"):
+        payload = wire.encode_request(tiny, wire.FORMAT_BINARY)
+        header, __ = wire._unpack(payload)
+        return payload, header, header["operands"][role]["fields"][field]
+
+    @staticmethod
+    def _rewrite_frame(payload, index, key, value):
+        def mutate(header):
+            header["frames"][index][key] = value
+
+        return rewrite_wire_header(payload, mutate)
+
+    @staticmethod
+    def _json(tiny, mutate):
+        document = json.loads(wire.encode_request(tiny, wire.FORMAT_JSON))
+        mutate(document)
+        return json.dumps(document).encode()
+
+    @pytest.mark.parametrize("dtype", ["<f8", "<i4"])
+    def test_frame_dtype_lie(self, tiny, dtype):
+        # Viewed as <f8 the starts [0, 2, 10] read [0, 0, 0]; as <i4
+        # the frame halves and the ends go wrong.
+        payload, __, index = self._frame(tiny)
+        with pytest.raises(ServiceError, match="dtype"):
+            wire.decode_request(
+                self._rewrite_frame(payload, index, "dtype", dtype)
+            )
+
+    def test_negative_frame_offset(self, tiny):
+        # Unchecked, it reads header bytes as region codes.
+        payload, __, index = self._frame(tiny)
+        with pytest.raises(ServiceError, match="offset"):
+            wire.decode_request(
+                self._rewrite_frame(payload, index, "offset", -64)
+            )
+
+    def test_misaligned_frame_offset(self, tiny):
+        payload, header, index = self._frame(tiny)
+        offset = header["frames"][index]["offset"] + 8
+        with pytest.raises(ServiceError, match="offset"):
+            wire.decode_request(
+                self._rewrite_frame(payload, index, "offset", offset)
+            )
+
+    def test_json_float_codes(self, tiny):
+        # A typed numpy conversion truncates them to [0, 2, 10].
+        def mutate(document):
+            document["operands"]["ancestors"]["starts"] = [0.5, 2.7, 10.2]
+
+        with pytest.raises(ServiceError, match="int64 codes"):
+            wire.decode_request(self._json(tiny, mutate))
+
+    @pytest.mark.parametrize(
+        "codes", [["0", "2", "10"], [[0], [2], [10]], [0, None, 10]]
+    )
+    def test_json_non_integer_codes(self, tiny, codes):
+        def mutate(document):
+            document["operands"]["ancestors"]["starts"] = codes
+
+        with pytest.raises(ServiceError, match="int64 codes"):
+            wire.decode_request(self._json(tiny, mutate))
+
+    def test_oversized_shape(self, tiny):
+        # Unchecked, np.frombuffer raises ValueError.
+        payload, __, index = self._frame(tiny)
+        with pytest.raises(ServiceError, match="past the"):
+            wire.decode_request(
+                self._rewrite_frame(payload, index, "shape", [1 << 40])
+            )
+
+    @pytest.mark.parametrize("shape", [[3, 1], [], [-1], [3.0], "3"])
+    def test_shape_not_one_dimensional_count(self, tiny, shape):
+        payload, __, index = self._frame(tiny)
+        with pytest.raises(ServiceError, match="shape"):
+            wire.decode_request(
+                self._rewrite_frame(payload, index, "shape", shape)
+            )
+
+    def test_object_dtype(self, tiny):
+        # Unchecked, np.frombuffer raises ValueError.
+        payload, __, index = self._frame(tiny)
+        with pytest.raises(ServiceError, match="dtype"):
+            wire.decode_request(
+                self._rewrite_frame(payload, index, "dtype", "|O")
+            )
+
+    def test_offset_past_the_end(self, tiny):
+        # Unchecked, np.frombuffer raises ValueError.
+        payload, __, index = self._frame(tiny)
+        with pytest.raises(ServiceError, match="past the"):
+            wire.decode_request(
+                self._rewrite_frame(
+                    payload, index, "offset", wire._align(len(payload))
+                )
+            )
+
+    @pytest.mark.parametrize("target", [6, 99, -1, 1.0, None])
+    def test_field_index_out_of_range(self, tiny, target):
+        # Unchecked, 6 and 99 raise IndexError and -1 reads the last
+        # frame.
+        def mutate(header):
+            header["operands"]["ancestors"]["fields"]["starts"] = target
+
+        payload = wire.encode_request(tiny, wire.FORMAT_BINARY)
+        with pytest.raises(ServiceError, match="names frame"):
+            wire.decode_request(rewrite_wire_header(payload, mutate))
+
+    @pytest.mark.parametrize("wire_format", wire.KNOWN_FORMATS)
+    def test_operands_missing(self, tiny, wire_format):
+        # Unchecked, the lookup raises KeyError.
+        payload = wire.encode_request(tiny, wire_format)
+        if wire_format == wire.FORMAT_BINARY:
+            payload = rewrite_wire_header(
+                payload, lambda header: header.pop("operands")
+            )
+        else:
+            payload = self._json(tiny, lambda doc: doc.pop("operands"))
+        with pytest.raises(ServiceError, match="KeyError"):
+            wire.decode_request(payload)
+
+    def test_json_starts_ends_length_mismatch(self, tiny):
+        # Unchecked, NodeSet.from_arrays raises InvalidRegionCodeError.
+        def mutate(document):
+            document["operands"]["ancestors"]["ends"].pop()
+
+        with pytest.raises(ServiceError, match="aligned"):
+            wire.decode_request(self._json(tiny, mutate))
+
+    @pytest.mark.parametrize("field", ["ends", "sorted_ends"])
+    def test_binary_frame_length_mismatch(self, tiny, field):
+        # Unchecked, a short sorted_ends frame decodes silently.
+        payload, __, index = self._frame(tiny, field=field)
+        with pytest.raises(ServiceError, match="codes"):
+            wire.decode_request(
+                self._rewrite_frame(payload, index, "shape", [2])
+            )
+
+    def test_json_integer_beyond_int64(self, tiny):
+        # Unchecked, the int64 conversion raises OverflowError.
+        def mutate(document):
+            document["operands"]["descendants"]["ends"][0] = 2**63
+
+        with pytest.raises(ServiceError, match="int64 codes"):
+            wire.decode_request(self._json(tiny, mutate))
+
+    def test_json_top_level_array(self, tiny):
+        # Unchecked, the header lookup raises AttributeError.
+        payload = json.dumps(
+            [json.loads(wire.encode_request(tiny, wire.FORMAT_JSON))]
+        ).encode()
+        with pytest.raises(ServiceError, match="object"):
+            wire.decode_request(payload)
+
+    @pytest.mark.parametrize("wire_format", wire.KNOWN_FORMATS)
+    def test_every_truncation(self, tiny, wire_format):
+        payload = wire.encode_request(tiny, wire_format)
+        for cut in range(len(payload)):
+            with pytest.raises(ServiceError):
+                wire.decode_request(payload[:cut])
+
+    def test_response_structure_errors_are_typed(self):
+        document = json.loads(
+            wire.encode_response(_response(), wire.FORMAT_JSON)
+        )
+        del document["response"]["status"]
+        with pytest.raises(ServiceError, match="KeyError"):
+            wire.decode_response(json.dumps(document).encode())
+        with pytest.raises(ServiceError, match="object"):
+            wire.decode_response(b"[1, 2]")
 
 
 class TestServiceWire:
