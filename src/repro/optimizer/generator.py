@@ -87,9 +87,10 @@ class PlanningState:
             planner behavior, preserved so adapter-wrapped estimators
             plan bit-identically to the legacy path).
         names: display names for the leaves (tag predicates).
-        scratch: per-pass memo space; generators key their cached pair
-            estimates and DP tables by ``id(self)`` so two generators
-            sharing a state never collide.
+        scratch: per-pass memo space, keyed by (or by a tuple holding)
+            each generator's ``id`` so two generators sharing a state
+            never collide: the pairwise generators' pair memo, the
+            exact oracle's segment memo, the bound generator's table.
     """
 
     node_sets: tuple[NodeSet, ...]
@@ -175,13 +176,16 @@ class PairwiseGenerator(CardinalityGenerator):
     """Base for generators that natively estimate *adjacent pairs* only.
 
     Longer segments compose under the independence assumption the
-    optimizer literature conventionally makes::
+    optimizer literature conventionally makes, multiplied left to right
+    exactly as the pre-generator planner did (the adapter plans
+    bit-identically)::
 
-        size(i..j) = size(i..j-1) · size(j-1, j) / |s_{j-1}|
+        size(i..j) = pair(i) · f(i+1) · ... · f(j-1), f(m) = pair(m) / |s_m|
 
-    which reproduces the historical planner arithmetic operation for
-    operation — the backward-compat adapter plans bit-identically to
-    the pre-generator code path.
+    where ``f(m)`` is 0.0 for an empty ``s_m``, whose pair is never
+    asked for.  Each pair is estimated at most once per planning pass,
+    in the order segments first reach it, and memoized in
+    ``state.scratch`` under ``id(self)``.
     """
 
     @abc.abstractmethod
@@ -193,31 +197,20 @@ class PairwiseGenerator(CardinalityGenerator):
     ) -> float:
         if lo == hi:
             return float(len(state.node_sets[lo]))
-        pairs = state.scratch.setdefault(("pairs", id(self)), {})
-        segments = state.scratch.setdefault(("segments", id(self)), {})
-
-        def pair(index: int) -> float:
-            cached = pairs.get(index)
-            if cached is None:
-                cached = max(0.0, self.estimate_pair(index, state))
-                pairs[index] = cached
-            return cached
-
-        def segment(i: int, j: int) -> float:
-            if i == j:
-                return float(len(state.node_sets[i]))
-            if j == i + 1:
-                return pair(i)
-            cached = segments.get((i, j))
-            if cached is None:
-                previous = segment(i, j - 1)
-                base = len(state.node_sets[j - 1])
-                fanout = pair(j - 1) / base if base else 0.0
-                cached = previous * fanout
-                segments[(i, j)] = cached
-            return cached
-
-        return segment(lo, hi)
+        pairs = state.scratch.get(id(self))
+        if pairs is None:
+            pairs = state.scratch[id(self)] = {}
+        size = pairs.get(lo)
+        if size is None:
+            size = pairs[lo] = max(0.0, self.estimate_pair(lo, state))
+        for m in range(lo + 1, hi):
+            base = len(state.node_sets[m])
+            if base:
+                pair = pairs.get(m)
+                if pair is None:
+                    pair = pairs[m] = max(0.0, self.estimate_pair(m, state))
+            size *= pair / base if base else 0.0
+        return size
 
 
 class EstimatorGenerator(PairwiseGenerator):

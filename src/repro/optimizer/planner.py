@@ -25,6 +25,7 @@ for backward compatibility.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Sequence
@@ -33,6 +34,7 @@ from repro.core.errors import PlanError
 from repro.core.nodeset import NodeSet
 from repro.core.workspace import Workspace
 from repro.estimators.base import Estimator, _from_wire_float, _to_wire
+from repro.optimizer.generator import PlanningState, as_generator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.catalog.catalog import StatisticsCatalog
@@ -98,17 +100,19 @@ class JoinPlan:
     def from_dict(cls, payload: dict[str, Any]) -> "JoinPlan":
         """Rebuild a :class:`JoinPlan` from its :meth:`to_dict` form.
 
-        Raises :class:`~repro.core.errors.PlanError` for a missing or
-        unsupported ``schema_version`` and for structurally invalid
-        nodes (a leaf with children, an internal node missing one, or
-        children that do not partition the segment).
+        Raises :class:`~repro.core.errors.PlanError` for a
+        ``schema_version`` other than the int :data:`PLAN_SCHEMA_VERSION`,
+        an index that is not an int >= 0 (bools and numeric strings
+        included), and structurally invalid nodes (a leaf with children,
+        an internal node missing one, or children that do not partition
+        the segment).
         """
         if not isinstance(payload, dict):
             raise PlanError(
                 f"plan payload must be a dict, got {type(payload).__name__}"
             )
         version = payload.get("schema_version")
-        if version != PLAN_SCHEMA_VERSION:
+        if type(version) is not int or version != PLAN_SCHEMA_VERSION:
             raise PlanError(
                 f"unsupported JoinPlan schema_version {version!r} "
                 f"(this version reads {PLAN_SCHEMA_VERSION})"
@@ -120,11 +124,14 @@ class JoinPlan:
                     f"plan node must be a dict, got {type(data).__name__}"
                 )
             try:
-                lo = int(data["lo"])
-                hi = int(data["hi"])
+                lo, hi = data["lo"], data["hi"]
                 size = _from_wire_float(data["estimated_size"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise PlanError(f"malformed plan node: {exc}") from exc
+            if not all(type(x) is int and x >= 0 for x in (lo, hi)):
+                raise PlanError(
+                    f"plan node indices must be ints >= 0, got {lo!r}..{hi!r}"
+                )
             if size is None:
                 raise PlanError("plan node estimated_size cannot be null")
             if lo > hi:
@@ -203,14 +210,12 @@ def optimize(
         **config: constructor arguments when ``generator`` is a name.
 
     Returns:
-        the optimal :class:`JoinPlan` (ties broken toward left-deep).
+        the optimal :class:`JoinPlan` (ties keep the first split).
 
     Raises:
-        PlanError: for chains shorter than two node sets or when the
-            generator's ``pre_check`` rejects the workload.
+        PlanError: for chains shorter than two node sets, a ``pre_check``
+            rejection, or a segment whose every split costs NaN or +inf.
     """
-    from repro.optimizer.generator import PlanningState, as_generator
-
     k = len(node_sets)
     if k < 2:
         raise PlanError("chain optimization needs >= 2 node sets")
@@ -220,43 +225,43 @@ def optimize(
     state = PlanningState(tuple(node_sets), workspace=workspace)
     gen.pre_check(state)
 
-    # segment_size[i][j]: estimated tuples of the chain s_i // ... // s_j,
-    # filled shortest-first so pairwise generators memoize bottom-up.
-    segment_size = [[0.0] * k for __ in range(k)]
-    for length in range(1, k + 1):
-        for i in range(k - length + 1):
-            j = i + length - 1
-            segment_size[i][j] = gen.estimate_join(i, j, state)
+    # Flat tables indexed [i * k + j] for the segment s_i // ... // s_j,
+    # sizes filled shortest-first so seeded samplers see one RNG stream.
+    size = [0.0] * (k * k)
+    for length in range(k):
+        for i in range(k - length):
+            size[i * k + i + length] = gen.estimate_join(i, i + length, state)
 
-    # Matrix-chain DP over (cost, plan).
-    best: dict[tuple[int, int], JoinPlan] = {}
-    cost: dict[tuple[int, int], float] = {}
-    for i in range(k):
-        best[(i, i)] = JoinPlan(i, i, segment_size[i][i])
-        cost[(i, i)] = 0.0
-    for length in range(2, k + 1):
-        for i in range(k - length + 1):
-            j = i + length - 1
-            champion: JoinPlan | None = None
-            champion_cost = float("inf")
-            for split in range(i, j):
-                left = best[(i, split)]
-                right = best[(split + 1, j)]
+    # Matrix-chain DP; split[i * k + j] ends the winning left child.
+    cost = [0.0] * (k * k)
+    split = [0] * (k * k)
+    for length in range(1, k):
+        for i in range(k - length):
+            j = i + length
+            best, best_cost = -1, math.inf
+            for s in range(i, j):
                 subtotal = (
-                    cost[(i, split)]
-                    + cost[(split + 1, j)]
-                    + (0.0 if split == i else segment_size[i][split])
-                    + (0.0 if split + 1 == j else segment_size[split + 1][j])
+                    cost[i * k + s]
+                    + cost[(s + 1) * k + j]
+                    + (0.0 if s == i else size[i * k + s])
+                    + (0.0 if s + 1 == j else size[(s + 1) * k + j])
                 )
-                if subtotal < champion_cost:
-                    champion_cost = subtotal
-                    champion = JoinPlan(
-                        i, j, segment_size[i][j], left, right
-                    )
-            assert champion is not None
-            best[(i, j)] = champion
-            cost[(i, j)] = champion_cost
-    return best[(0, k - 1)]
+                if subtotal < best_cost:
+                    best, best_cost = s, subtotal
+            if best < 0:
+                raise PlanError(
+                    f"every split of segment {i}..{j} costs NaN or +inf"
+                )
+            cost[i * k + j] = best_cost
+            split[i * k + j] = best
+
+    def build(i: int, j: int) -> JoinPlan:
+        if i == j:
+            return JoinPlan(i, i, size[i * k + i])
+        s = split[i * k + j]
+        return JoinPlan(i, j, size[i * k + j], build(i, s), build(s + 1, j))
+
+    return build(0, k - 1)
 
 
 def optimize_chain(

@@ -984,12 +984,11 @@ class EstimationService:
         if distinct:
             self._run_distinct(distinct, breaker, started_at, len(batch))
 
-        for key, group in groups.items():
+        # A lead that finished ok was memoized by _finish_ok.
+        for group in groups.values():
             lead = group[0]
             if lead.done() and lead._response is not None:
                 response = lead._response
-                if response.status == "ok" and self._memo is not None:
-                    self._memo_put(key, response.estimate)
                 for follower in group[1:]:
                     self._m_singleflight.inc()
                     self._resolve(
@@ -1108,7 +1107,7 @@ class EstimationService:
             # Memoize *before* detaching followers: a request submitted
             # in the gap either found this future in flight (and rides
             # below) or will hit the memo — never neither.
-            self._memo_put(future.result_key, estimate)
+            self._memo.put(future.result_key, estimate)
         self._m_run.observe(run_seconds)
         self._resolve(
             future,
@@ -1376,11 +1375,6 @@ class EstimationService:
     def _memo_get(self, key: Any) -> Estimate | None:
         memo = self._memo
         return memo.peek(key) if memo is not None else None
-
-    def _memo_put(self, key: Any, estimate: Estimate) -> None:
-        memo = self._memo
-        if memo is not None:
-            memo.put(key, estimate)
 
     def _count(self, name: str, amount: int = 1) -> None:
         self.metrics.counter(name).inc(amount)

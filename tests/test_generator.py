@@ -307,6 +307,24 @@ class TestPlanWireSchema:
                 }
             )
 
+    @pytest.mark.parametrize(
+        "lie, match",
+        [
+            ({"lo": 0.9}, "indices"),
+            ({"lo": 1, "hi": "1"}, "indices"),
+            ({"lo": False}, "indices"),
+            ({"lo": -3, "hi": -3}, "indices"),
+            ({"schema_version": True}, "schema_version"),
+        ],
+        ids=["float-lo", "string-hi", "bool-lo", "negative", "bool-version"],
+    )
+    def test_lying_fields_rejected(self, lie, match):
+        """Each payload parsed as a valid leaf when indices went through
+        ``int()`` and the version through ``==``."""
+        leaf = {"schema_version": 1, "lo": 0, "hi": 0, "estimated_size": 1.0}
+        with pytest.raises(PlanError, match=match):
+            JoinPlan.from_dict({**leaf, **lie})
+
     def test_plan_error_is_estimation_error(self):
         assert issubclass(PlanError, EstimationError)
 

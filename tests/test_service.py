@@ -11,6 +11,7 @@ shutdown semantics.  Fault injection goes through the public
 
 from __future__ import annotations
 
+import collections
 import time
 
 import pytest
@@ -293,6 +294,26 @@ class TestMemoizationAndDedup:
             counters = service.stats()["counters"]
         assert counters.get("service.memo_hits", 0) == 0
         assert counters.get("service.inflight_hits", 0) == 0
+
+    def test_computed_request_stored_once(self, figure1_tree, monkeypatch):
+        """A computed request writes its memo entry once (the wrapped
+        insert only counts; nothing is injected)."""
+        requests = [
+            _request(figure1_tree, config={"num_samples": 10, "seed": seed})
+            for seed in range(4)
+        ]
+        with EstimationService(workers=0) as service:
+            memo = service._memo
+            stores = collections.Counter()
+            store = memo._store
+
+            def counting_store(key, value, size):
+                stores[key] += 1
+                return store(key, value, size)
+
+            monkeypatch.setattr(memo, "_store", counting_store)
+            service.map(requests, timeout=30.0)
+        assert list(stores.values()) == [1, 1, 1, 1]
 
     def test_memoize_false_disables_dedup(self, figure1_tree):
         requests = [_request(figure1_tree) for __ in range(3)]
