@@ -3,7 +3,10 @@
 Every benchmark regenerates one table or figure of the paper on the
 full-scale (Table 2-calibrated) datasets and writes the reproduced
 rows/series to ``results/<name>.txt`` (also echoed to stdout — run with
-``pytest benchmarks/ --benchmark-only -s`` to watch).
+``pytest benchmarks/ --benchmark-only -s`` to watch).  The plan-regret
+sweep and the router regret run keep their own fixed scale of 0.05.
+Every file is deterministic, so a rerun must leave ``results/``
+unchanged.
 
 Environment knobs:
 
@@ -58,7 +61,7 @@ def report():
 
     def write(name: str, text: str) -> None:
         path = RESULTS_DIR / f"{name}.txt"
-        path.write_text(text + "\n")
+        path.write_text(text + "\n", encoding="utf-8")
         print(f"\n===== {name} (saved to {path}) =====")
         print(text)
 

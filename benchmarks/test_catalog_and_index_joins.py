@@ -3,15 +3,20 @@
 * Catalog: build cost and size for every XMARK tag under the paper's
   budgets, then plan-time estimation accuracy with *no base-data access*
   (histogram mode = PL synopses; sample mode = two-sample estimation).
-* Index joins: XR-tree / B+-tree probing vs the stack-tree merge when one
-  operand is selective — the scenario the XR-tree exists for.
+* Index joins: XR-tree probing vs the stack-tree merge, measured as
+  elements read rather than wall-clock time, so the file reproduces
+  exactly; the counts show how selective the driving side must be for
+  probing to win.
 """
 
 import statistics
-import time
+from bisect import bisect_right
+
+import numpy as np
 
 from repro.catalog import StatisticsCatalog
 from repro.core.budget import SpaceBudget
+from repro.core.nodeset import NodeSet
 from repro.datasets.workloads import xmark_queries
 from repro.experiments.report import format_table
 from repro.index.xrtree import XRTree
@@ -73,48 +78,73 @@ def test_catalog_estimation(benchmark, report, bench_runs, xmark_full):
     assert catalog.nbytes() < len(catalog) * (budget.nbytes + 16)
 
 
+def _probe_reads(xrtree: XRTree, drivers: NodeSet) -> int:
+    """Elements :meth:`XRTree.stab` examines over all ``drivers``: every
+    stab-list entry on each root-to-leaf path, then the leaf's slots up
+    to the first one that starts past the probe point."""
+    reads = 0
+    for d in drivers:
+        node = xrtree._root
+        while hasattr(node, "stab_list"):
+            reads += len(node.stab_list)
+            node = node.children[bisect_right(node.keys, d.start)]
+        for element in node.elements:
+            reads += 1
+            if element.start > d.start:
+                break
+    return reads
+
+
+def _merge_reads(ancestors: NodeSet, descendants: NodeSet) -> int:
+    """Elements :func:`stack_tree_join` reads: every descendant, and
+    every ancestor that starts before the last descendant."""
+    last = descendants.elements[-1].start
+    return len(descendants) + int(
+        np.searchsorted(ancestors.starts, last, side="left")
+    )
+
+
 def test_index_join_selectivity(benchmark, report, xmark_full):
-    """XR-tree probing wins when the driving side is small."""
+    """Probing beats the merge only for a very selective driver."""
     ancestors = xmark_full.node_set("open_auction")
-    sparse_d = xmark_full.node_set("reserve")     # selective driver
-    dense_d = xmark_full.node_set("text")         # non-selective
+    reserve = xmark_full.node_set("reserve")
+    drivers = {
+        "selective driver (reserve)": reserve,
+        "non-selective driver (text)": xmark_full.node_set("text"),
+        "sparser driver (every 16th reserve)": NodeSet(reserve.elements[::16]),
+    }
 
     xrtree = XRTree(ancestors)
     benchmark.pedantic(
-        lambda: probe_ancestors_join(xrtree, sparse_d),
+        lambda: probe_ancestors_join(xrtree, reserve),
         rounds=3,
         iterations=1,
     )
 
-    def timed(callable_):
-        start = time.perf_counter()
-        result = callable_()
-        return (time.perf_counter() - start) * 1000.0, len(result)
-
-    probe_ms, probe_pairs = timed(
-        lambda: probe_ancestors_join(xrtree, sparse_d)
-    )
-    merge_ms, merge_pairs = timed(
-        lambda: stack_tree_join(ancestors, sparse_d)
-    )
-    dense_probe_ms, __ = timed(
-        lambda: probe_ancestors_join(xrtree, dense_d)
-    )
-    dense_merge_ms, __ = timed(
-        lambda: stack_tree_join(ancestors, dense_d)
-    )
+    rows = []
+    for scenario, descendants in drivers.items():
+        pairs = len(probe_ancestors_join(xrtree, descendants))
+        assert pairs == len(stack_tree_join(ancestors, descendants))
+        rows.append(
+            [scenario, len(descendants), _probe_reads(xrtree, descendants),
+             _merge_reads(ancestors, descendants), pairs]
+        )
     report(
         "index_join_selectivity",
         format_table(
-            ["scenario", "probe (XR-tree) ms", "stack-tree ms", "pairs"],
-            [
-                ["selective driver (reserve)", probe_ms, merge_ms,
-                 probe_pairs],
-                ["non-selective driver (text)", dense_probe_ms,
-                 dense_merge_ms, "-"],
-            ],
-            title="Index-assisted vs merge containment join "
-                  "(prebuilt XR-tree on open_auction)",
+            ["scenario", "drivers", "probe reads (XR-tree)",
+             "merge reads (stack-tree)", "pairs"],
+            rows,
+            title=f"Index-assisted vs merge containment join: elements "
+                  f"read (prebuilt XR-tree on {len(ancestors)} "
+                  "open_auction)",
         ),
     )
-    assert probe_pairs == merge_pairs
+    # A probe examines ~18 elements per driver and the merge reads each
+    # input element once, so probing wins only below about one driver
+    # per 17 indexed ancestors: not for reserve or text, but for every
+    # 16th reserve element (one per 33).
+    probe = [row[2] for row in rows]
+    merge = [row[3] for row in rows]
+    assert probe[0] > merge[0] and probe[1] > merge[1]
+    assert probe[2] < merge[2]

@@ -10,7 +10,6 @@ Usage::
     python -m repro fig7 --scale 0.2
     python -m repro fig8
     python -m repro xmach
-    python -m repro service-bench --workers 4
     python -m repro all --scale 0.1 --runs 2
 
 Reports print to stdout; ``--out DIR`` additionally writes each report to
@@ -157,17 +156,6 @@ def _cmd_fig8(args, emit) -> None:
     )
 
 
-def _cmd_service_bench(args, emit) -> None:
-    from repro.service.bench import render_report, run_service_bench
-
-    report = run_service_bench(
-        scale=args.scale,
-        workers=args.workers,
-        seed=args.seed,
-    )
-    emit("service_bench", render_report(report))
-
-
 _COMMANDS: dict[str, Callable] = {
     "table2": _cmd_table2,
     "table3": _cmd_table3,
@@ -179,7 +167,6 @@ _COMMANDS: dict[str, Callable] = {
     "fig8": _cmd_fig8,
     "xmach": _cmd_xmach,
     "claims": _cmd_claims,
-    "service-bench": _cmd_service_bench,
 }
 
 
@@ -237,9 +224,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="repetitions for sampling methods")
     parser.add_argument("--budget", type=int, default=None,
                         help="single byte budget for fig5/fig6/xmach")
-    parser.add_argument("--workers", type=int, default=0,
-                        help="service-bench worker threads "
-                        "(0 = caller-runs, the embedded-optimizer mode)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", type=Path, default=None,
                         help="directory to write reports into")

@@ -113,9 +113,8 @@ class Estimate:
         """The stable JSON wire form of this estimate.
 
         One schema serves every serialization in the package — JSONL
-        telemetry ``estimate`` events, ``BENCH_*.json`` reports and
-        estimation-service responses — so consumers parse a single
-        format.  The layout is versioned by ``schema_version``
+        telemetry ``estimate`` events and estimation-service
+        responses — so consumers parse a single format.  The layout is versioned by ``schema_version``
         (:data:`ESTIMATE_SCHEMA_VERSION`); every value is strictly
         JSON-representable (non-finite floats are encoded as the strings
         ``"Infinity"`` / ``"-Infinity"`` / ``"NaN"``).

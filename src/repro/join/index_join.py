@@ -6,14 +6,21 @@ work scanning the big side; probing an index on the big side instead
 skips the non-joining majority:
 
 * :func:`probe_ancestors_join` — descendants drive; each descendant stabs
-  an XR-tree over the ancestors.  Cost O(|D| · (log |A| + output_d)),
-  independent of |A|'s total size beyond the index.
+  an XR-tree over the ancestors.  Per descendant it reads the stab lists
+  on one root-to-leaf path plus one leaf page up to the probe point,
+  whatever the output, independent of |A|'s total size beyond the
+  index.
 * :func:`probe_descendants_join` — ancestors drive; each ancestor range-
   scans a B+-tree on descendant starts over ``(a.start, a.end)``.  Cost
   O(|A| · log |D| + output).
 
-Both produce exactly the stack-tree join's pairs (tests verify) and win
-when their driving side is selective (the benchmark quantifies it).
+Both produce exactly the stack-tree join's pairs (tests verify).  They
+read fewer elements than the merge only when the driving side is very
+selective: on XMark, an XR-tree probe examines ~18 elements per
+driving descendant while the merge reads each input element once, so
+probing ``open_auction`` loses for ``reserve`` and ``text`` and wins
+only below about one driver per 17 ancestors
+(``results/index_join_selectivity.txt``).
 """
 
 from __future__ import annotations

@@ -183,8 +183,8 @@ def record_estimate(
     sink = _sink
     if sink is not None:
         # The estimate payload is the shared wire schema
-        # (Estimate.to_dict) so telemetry, BENCH_*.json and service
-        # responses all serialize results identically.
+        # (Estimate.to_dict) so telemetry and service responses
+        # serialize results identically.
         sink.emit(
             {
                 "event": "estimate",

@@ -13,8 +13,9 @@ a true-cost-optimal plan; the exact-oracle generator achieves 0 by
 construction on every chain, which anchors the scale.  The sweep runs
 every registered estimator (wrapped as a generator), the pessimistic
 upper-bound generator and the exact oracle over chain workloads on the
-XMark, DBLP and XMach datasets, and its report is written as the
-schema-validated ``BENCH_optimizer.json`` artifact and gated in CI.
+XMark, DBLP and XMach datasets; ``benchmarks/test_optimizer_quality.py``
+writes its plans to ``results/optimizer_regret_sweep.txt`` and asserts
+its gates.
 
 The report is deterministic for fixed ``scale``/``seed``: generators
 are constructed fresh per chain from seeded configurations, so neither
@@ -192,8 +193,8 @@ def regret_report(
         chains: chain workloads per dataset; default
             :data:`DEFAULT_CHAINS`.
 
-    Returns the ``BENCH_optimizer.json`` payload (without timing — the
-    caller stamps ``elapsed_s`` so the body stays deterministic).
+    Returns the sweep as a JSON-ready dict with no timing in it, so
+    the same arguments give the same report.
     """
     specs = dict(
         generator_specs

@@ -8,7 +8,7 @@ architecture"):
   per-element loops are retained as ``*_reference`` functions and the
   property suite asserts bit-for-bit agreement.  :func:`reference_kernels`
   switches the package back to the loop implementations, which is how
-  ``benchmarks/bench_runner.py`` measures the speedup.
+  the tests compare whole estimators against the spec.
 * **cache** — :class:`SummaryCache` memoizes built summaries under
   content keys so budget/method sweeps build each one once;
   :class:`IndexCache` does the same for the probe indexes the sampling
@@ -56,8 +56,8 @@ def reference_kernels_enabled() -> bool:
 def reference_kernels(enabled: bool = True) -> Iterator[None]:
     """Run the block with the ``*_reference`` loop kernels.
 
-    Only the benchmark runner and the property tests should need this;
-    it exists so the vectorized and reference paths stay comparable
+    Only the property tests and the qa oracles should need this; it
+    exists so the vectorized and reference paths stay comparable
     through the exact same public entry points.
     """
     global _reference_mode

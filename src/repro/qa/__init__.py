@@ -14,11 +14,6 @@ Entry points:
 * ``docs/TESTING.md`` for the tier layout and reproducer workflow
 """
 
-from repro.qa.bench_schema import (
-    BenchSchemaError,
-    validate_bench_file,
-    validate_bench_report,
-)
 from repro.qa.generators import Case, random_case, random_document
 from repro.qa.oracles import ORACLES, OracleFailure
 from repro.qa.runner import (
@@ -32,7 +27,6 @@ from repro.qa.shrink import shrink_case
 from repro.qa.stats import GateResult, run_statistical_gates
 
 __all__ = [
-    "BenchSchemaError",
     "Case",
     "Finding",
     "GateResult",
@@ -46,6 +40,4 @@ __all__ = [
     "run_qa",
     "run_statistical_gates",
     "shrink_case",
-    "validate_bench_file",
-    "validate_bench_report",
 ]

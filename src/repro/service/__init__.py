@@ -5,8 +5,8 @@ serves them the way an optimizer consumes them — many concurrent
 requests, repeated configurations, per-request latency budgets.  See
 :class:`EstimationService` for the mechanism inventory (micro-batching,
 result memoization, deadlines with graceful degradation, load shedding,
-circuit breaking) and :mod:`repro.service.bench` for the workload it is
-measured on.
+circuit breaking); ``perfbench/`` measures it on the ``plan`` and
+``serve`` workloads.
 """
 
 from repro.service import wire

@@ -20,7 +20,7 @@ the owner's single ``unlink`` retires the segment cleanly no matter how
 many workers attached.  A module-level registry plus an ``atexit``
 backstop guarantees owned segments are unlinked even when a service
 shuts down abnormally — :func:`live_segments` is the leak probe the
-tests and the service bench assert against.
+tests assert against.
 """
 
 from __future__ import annotations

@@ -9,10 +9,10 @@ The paper's Section 6 maintenance discussion, turned into a subsystem:
   T-tree updates and reservoir samples instead of rebuilds, with
   fingerprint bump-on-write cache invalidation;
 * :mod:`repro.stream.store` — :class:`CatalogStore`, a multi-tenant
-  registry with pager-backed disk residency and LRU admission;
-* :mod:`repro.stream.bench` — the churn benchmark behind
-  ``BENCH_stream.json`` (update throughput, read latency under mixed
-  load, staleness-violation rate, cross-tenant isolation).
+  registry with pager-backed disk residency and LRU admission.
+
+``perfbench/``'s ``churn`` workload times writes beside reads on a
+two-tenant store.
 
 ``EstimationService(live=...)`` serves estimates straight off a live
 workspace or store under a per-request ``max_staleness_s`` bound; the

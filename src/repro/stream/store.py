@@ -13,9 +13,8 @@ stored elements.  Admission is LRU — touching a tenant via
 Isolation: every workspace invalidates caches only under its *own*
 content fingerprints (see :meth:`LiveWorkspace.attach_caches`), so
 churn in one tenant never evicts, invalidates, or even bumps the hit
-counters of another tenant's entries — a property the stream bench and
-the fingerprint property tests assert, and CI gates at zero
-cross-tenant invalidations.
+counters of another tenant's entries — a property the cache-level
+and service-level isolation tests in ``tests/test_stream.py`` assert.
 
 Sequence numbers and applied counters survive the spill/load cycle via
 a JSON sidecar; reservoir samples are redrawn on load (a reloaded

@@ -82,6 +82,38 @@ class TestExperimentsReferences:
         assert "error of the" in experiments_text.lower()
 
 
+class TestRepoPaths:
+    """Every repository path a document names must exist.
+
+    Covers the prose documents; ``perfbench/README.md`` belongs to the
+    benchmark and is edited only with it.
+    """
+
+    PATH = re.compile(
+        r"(?<![\w/.-])(?:"
+        r"(?:benchmarks|examples|results|src/repro|tests)/[\w./-]*\w\."
+        r"(?:py|txt)|BENCH_\w+\.json)"
+    )
+
+    def test_named_paths_exist(self):
+        documents = [
+            ROOT / name
+            for name in ("README.md", "DESIGN.md", "EXPERIMENTS.md")
+        ] + sorted((ROOT / "docs").glob("*.md"))
+        named = {
+            (path, document.relative_to(ROOT).as_posix())
+            for document in documents
+            for path in self.PATH.findall(document.read_text())
+        }
+        assert len(named) >= 30
+        missing = sorted(
+            f"{document}: {path}"
+            for path, document in named
+            if not (ROOT / path).exists()
+        )
+        assert not missing, missing
+
+
 class TestReadme:
     def test_examples_table_matches_directory(self):
         readme = (ROOT / "README.md").read_text()

@@ -24,8 +24,11 @@ from repro.core.errors import (
     ServiceError,
     UnknownEstimatorError,
 )
+from repro.datasets.workloads import ALL_WORKLOADS
 from repro.estimators.base import Estimate
 from repro.estimators.registry import make_estimator
+from repro.experiments.data import get_dataset
+from repro.experiments.sampling import SAMPLE_SWEEP
 from repro.service import (
     LADDER,
     CircuitBreaker,
@@ -33,8 +36,32 @@ from repro.service import (
     EstimationService,
     RequestQueue,
 )
-from repro.service.bench import build_trace
 from repro.service.request import ServiceFuture
+
+
+def build_trace(repeats: int) -> list[EstimateRequest]:
+    """The optimizer trace: every XMark Figure 8 query at every sample
+    count, each configuration re-asked ``repeats`` times under its own
+    fixed seed, round-robin as one optimization pass re-costs a join."""
+    dataset = get_dataset("xmark", scale=0.05)
+    requests = []
+    for repeat in range(repeats):
+        for qi, query in enumerate(ALL_WORKLOADS["xmark"]):
+            ancestors, descendants = query.operands(dataset)
+            for si, samples in enumerate(SAMPLE_SWEEP):
+                requests.append(
+                    EstimateRequest(
+                        ancestors=ancestors,
+                        descendants=descendants,
+                        method="IM",
+                        config={
+                            "num_samples": samples,
+                            "seed": qi * 1_000 + si * 10,
+                        },
+                        request_id=f"{query.id}-m{samples}-r{repeat}",
+                    )
+                )
+    return requests
 
 
 def _request(figure1_tree, **overrides):
@@ -248,8 +275,8 @@ class TestSequentialParity:
         assert response.wait_s >= 0.0
         assert response.service_s >= response.wait_s
 
-    def test_optimizer_trace_identity(self, xmark_small):
-        trace = build_trace("xmark", scale=0.05, repeats=2)
+    def test_optimizer_trace_identity(self):
+        trace = build_trace(repeats=2)
         expected = [
             api.estimate(
                 r.ancestors, r.descendants, r.method, **r.config

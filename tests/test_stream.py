@@ -16,7 +16,7 @@ from repro.core.element import Element
 from repro.core.errors import ServiceError, StreamError
 from repro.core.nodeset import NodeSet
 from repro.core.workspace import Workspace
-from repro.perf.cache import SummaryCache
+from repro.perf.cache import SummaryCache, _key_tokens
 from repro.service import EstimationService
 from repro.service.request import EstimateRequest
 from repro.service.wire import (
@@ -321,6 +321,53 @@ class TestFingerprintInvalidation:
         assert cache.hits == hits_before  # churn never read beta's key
         assert cache.peek(("summary", beta_fp)) == "beta-entry"
         assert ("summary", beta_fp) in cache
+
+    def test_service_churn_leaves_co_tenant_cached(self):
+        """Churning one tenant through the service drops none of the
+        other tenant's summaries: its re-read is a cache hit, bit-equal."""
+        alpha_feed = MutationFeed(_pool(40), seed=3)
+        store = CatalogStore()
+        alpha = store.create(
+            "alpha", WORKSPACE, elements=alpha_feed.bootstrap(),
+            num_buckets=8, seed=3,
+        )
+        beta = store.create(
+            "beta", WORKSPACE, elements=_pool(40, offset=1000),
+            num_buckets=8, seed=4,
+        )
+        beta_fps = {beta.fingerprint("a"), beta.fingerprint("d")}
+
+        def beta_entries(cache):
+            return {
+                key: value
+                for key, value in list(cache._data.items())
+                if not beta_fps.isdisjoint(_key_tokens(key))
+            }
+
+        # memoize=False: a repeat read must reach the summary cache.
+        with EstimationService(
+            live=store, workers=0, memoize=False
+        ) as service:
+            cache = service.summary_cache
+
+            def read(tenant):
+                return service.estimate(
+                    "a", "d", "PL", num_buckets=8, tenant=tenant
+                )
+
+            before = read("beta")
+            entries = beta_entries(cache)
+            for batch in alpha_feed.batches(6, 5):
+                alpha.apply(batch)
+                read("alpha")
+            survivors = beta_entries(cache)
+            hits = cache.hits
+            after = read("beta")
+            assert cache.hits > hits
+        assert entries and survivors.keys() == entries.keys()
+        assert all(survivors[key] is entries[key] for key in entries)
+        assert after.estimate.value == before.estimate.value
+        assert alpha.invalidated_entries > 0
 
 
 class TestCacheDetach:
