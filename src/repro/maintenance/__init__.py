@@ -14,7 +14,9 @@ up to date instead of rebuilding it per estimate:
   descendant set (Algorithm R with random-pairing deletions), feeding
   IM-DA-Est without re-sampling per estimate.
 
-:mod:`repro.stream` drives all four from a live mutation feed.
+:class:`repro.stream.LiveWorkspace` keeps all four per live tag,
+built on the tag's first synopsis read and maintained from then on
+under its mutation stream.
 """
 
 from repro.maintenance.cells import IncrementalCellHistogram

@@ -67,7 +67,6 @@ def summarize_telemetry(
     latencies: dict[str, list[float]] = {}
     errors: dict[str, list[float]] = {}
     queries = 0
-    bench: dict[str, float] = {}
     snapshots: list[Mapping[str, Any]] = []
     for record in records:
         event = record.get("event")
@@ -79,15 +78,12 @@ def summarize_telemetry(
             queries += 1
             for method, error in (record.get("errors") or {}).items():
                 errors.setdefault(method, []).append(float(error))
-        elif event == "bench":
-            bench[record["name"]] = float(record["seconds"])
         elif event == "summary":
             snapshots.append(record.get("metrics", {}))
     return {
         "latencies": {k: sorted(v) for k, v in sorted(latencies.items())},
         "errors": {k: sorted(v) for k, v in sorted(errors.items())},
         "queries": queries,
-        "bench": bench,
         "metrics": merge_snapshots(snapshots),
     }
 
@@ -139,15 +135,6 @@ def render_report(records: Iterable[Mapping[str, Any]]) -> str:
                     f"Relative error over {summary['queries']} "
                     "query rows"
                 ),
-            )
-        )
-
-    if summary["bench"]:
-        sections.append(
-            _format_table(
-                ["benchmark", "seconds"],
-                sorted(summary["bench"].items()),
-                title="Benchmark measurements",
             )
         )
 

@@ -10,7 +10,6 @@ interleave partial lines.  Records are free-form dictionaries with an
 * ``{"event": "query", "query", "true_size", "errors", "estimates"}``
   — one per harness query row;
 * ``{"event": "span", "name", "seconds", ...}`` — a finished trace span;
-* ``{"event": "bench", "name", "seconds"}`` — one benchmark measurement;
 * ``{"event": "summary", "metrics": <registry snapshot>}`` — the final
   aggregated registry, written when a telemetry session closes.
 

@@ -38,15 +38,12 @@ from repro.optimizer.planner import JoinPlan, optimize, plan_cost
 
 __all__ = [
     "DEFAULT_CHAINS",
-    "REGRET_SCHEMA_VERSION",
     "all_plans",
     "default_generator_specs",
     "optimal_true_cost",
     "regret_report",
     "true_plan_cost",
 ]
-
-REGRET_SCHEMA_VERSION = 1
 
 #: Chain workloads per dataset — adjacent pairs follow the Table 3
 #: query edges, so every step is a real containment relationship.
@@ -258,8 +255,6 @@ def regret_report(
         }
 
     return {
-        "bench": "optimizer-regret",
-        "schema_version": REGRET_SCHEMA_VERSION,
         "scale": scale,
         "seed": seed,
         "datasets": names,

@@ -1227,8 +1227,11 @@ def check_incremental_vs_rebuild(case: Case) -> None:
     The case's operands are merged into one element pool (dedup by
     region code — operands drawn from one document may share elements)
     and churned through a seeded :class:`~repro.stream.MutationFeed`.
-    After *every* applied batch, each live tag's maintained structures
-    must equal a from-scratch rebuild over the current population:
+    Every synopsis of every bootstrapped tag is read before the first
+    batch (the workspace builds a tag's synopses on first read), so the
+    batches exercise incremental upkeep.  After *every* applied batch,
+    each live tag's maintained structures must equal a from-scratch
+    rebuild over the current population:
 
     * the zero-copy node set equals the validated rebuild exactly;
     * the PL statistics in both roles — integer counts bit-exact,
@@ -1259,6 +1262,13 @@ def check_incremental_vs_rebuild(case: Case) -> None:
         reservoir_capacity=16,
         seed=case.seed,
     )
+    # Read every synopsis now: a tag's synopses are built on first read,
+    # so every batch below must keep them current incrementally.
+    for tag in live.tags():
+        live.pl_histogram(tag)
+        live.cell_histogram(tag)
+        live.ttree(tag)
+        live.reservoir(tag)
     batch_size = max(1, len(pool) // 4)
     for batch in feed.batches(5, batch_size):
         live.apply(batch)

@@ -5,9 +5,11 @@ The paper's Section 6 maintenance discussion, turned into a subsystem:
 * :mod:`repro.stream.feed` — :class:`MutationFeed`, a seeded generator
   of sequentially applicable insert/delete/update batches;
 * :mod:`repro.stream.live` — :class:`LiveWorkspace`, one tenant's
-  element store maintained through incremental summary deltas, dynamic
-  T-tree updates and reservoir samples instead of rebuilds, with
-  fingerprint bump-on-write cache invalidation;
+  element store as per-tag sorted arrays, with fingerprint
+  bump-on-write cache invalidation and all-or-nothing batches; a tag's
+  synopses (incremental PL and PH summaries, a dynamic T-tree, a
+  reservoir sample) are built on first read and then maintained
+  incrementally instead of rebuilt;
 * :mod:`repro.stream.store` — :class:`CatalogStore`, a multi-tenant
   registry with pager-backed disk residency and LRU admission.
 
@@ -16,8 +18,9 @@ two-tenant store.
 
 ``EstimationService(live=...)`` serves estimates straight off a live
 workspace or store under a per-request ``max_staleness_s`` bound; the
-qa ``incremental-vs-rebuild`` oracle proves the maintained synopses
-bit-identical to from-scratch rebuilds after every batch.
+qa ``incremental-vs-rebuild`` oracle reads every synopsis before the
+first batch and proves them equal to from-scratch rebuilds after every
+batch.
 """
 
 from repro.stream.feed import Mutation, MutationBatch, MutationFeed

@@ -1,11 +1,14 @@
 """A live workspace: incremental maintenance under a mutation stream.
 
 ``LiveWorkspace`` holds the current element population of one tenant,
-grouped by tag, and keeps every synopsis of the paper incrementally
-up to date as mutation batches arrive — no rebuilds on the write path:
+grouped by tag.  The write path keeps only what every read needs — the
+per-tag start-sorted region arrays (the SoA the kernels consume),
+maintained in place by binary insertion/removal.  The paper's synopses
+are kept per tag on demand: the first call to :meth:`pl_histogram`,
+:meth:`cell_histogram`, :meth:`ttree` or :meth:`reservoir` builds all
+four from the tag's current elements, and from then on every write to
+that tag updates them incrementally — no rebuilds:
 
-* per-tag start-sorted region arrays (the SoA the kernels consume),
-  maintained in place by binary insertion/removal;
 * :class:`~repro.maintenance.incremental.IncrementalPLHistogram` — the
   Table 1 PL statistics, O(buckets crossed) per mutation;
 * :class:`~repro.maintenance.cells.IncrementalCellHistogram` — the PH
@@ -14,6 +17,17 @@ up to date as mutation batches arrive — no rebuilds on the write path:
   counts as O(1) delta updates with lazy recompile;
 * :class:`~repro.maintenance.reservoir.ReservoirSample` — a standing
   uniform sample under inserts *and* deletes (random pairing).
+
+A tag whose synopses nothing reads pays only for its sorted arrays:
+the service answers live reads from the snapshot's node sets, so
+serving never builds them.
+
+Batches apply whole or not at all.  ``ingest`` rejects a mutation whose
+element or replacement lies outside the workspace before the batch is
+queued; a batch that fails while applying (a delete of a non-live
+element, a duplicate insert) is undone, ``applied_seq`` moves past it
+and the :class:`~repro.core.errors.StreamError` names its sequence
+number.
 
 Writes are *fingerprint bumps*: summary and index caches key on the
 node-set content fingerprint, so a mutation gives the tag a new
@@ -25,8 +39,8 @@ bounds memory and keeps the "stale entries never serve" property
 checkable: only keys mentioning *this* workspace's old fingerprints are
 touched, so co-tenant entries survive with their hit counters intact.
 
-Staleness contract.  Batches are *ingested* (enqueued, O(1)) and later
-*applied*; ``staleness_s(now)`` is the age of the oldest ingested batch
+Staleness contract.  Batches are *ingested* (checked and enqueued) and
+later *applied*; ``staleness_s(now)`` is the age of the oldest ingested batch
 not yet applied (0.0 when fully caught up), and ``staleness_of(seq,
 now)`` is the same measure for a snapshot taken at ``applied_seq ==
 seq`` — the age of the oldest batch, applied or pending, that the
@@ -65,6 +79,13 @@ from repro.stream.feed import Mutation, MutationBatch
 _INGEST_HISTORY = 4096
 
 
+def _outside(what: str, element: Element, workspace: Workspace) -> StreamError:
+    return StreamError(
+        f"{what} element ({element.start}, {element.end}) outside "
+        f"workspace {tuple(workspace)}"
+    )
+
+
 def _with_caches(
     held: tuple[SummaryCache, ...], caches: Iterable[SummaryCache | None]
 ) -> tuple[SummaryCache, ...]:
@@ -85,43 +106,57 @@ def _without_caches(
     )
 
 
+class _Synopses:
+    """The four maintained synopses of one live tag."""
+
+    __slots__ = ("pl", "cells", "ttree", "reservoir")
+
+    def __init__(
+        self, live: "LiveWorkspace", tag: str, elements: Iterable[Element]
+    ) -> None:
+        self.pl = IncrementalPLHistogram(live.workspace, live.num_buckets)
+        self.cells = IncrementalCellHistogram(live.workspace, live.num_cells)
+        self.ttree = DynamicTTree()
+        self.reservoir = ReservoirSample(
+            live.reservoir_capacity,
+            seed=(live.seed * 1_000_003) ^ zlib.crc32(tag.encode()),
+        )
+        for element in elements:
+            self.insert(element)
+
+    def insert(self, element: Element) -> None:
+        self.pl.insert(element)
+        self.cells.insert(element)
+        self.ttree.insert(element)
+        self.reservoir.add(element)
+
+    def remove(self, element: Element) -> None:
+        self.pl.remove(element)
+        self.cells.remove(element)
+        self.ttree.delete(element)
+        self.reservoir.remove(element)
+
+
 class _TagState:
-    """All maintained structures for one live tag."""
+    """One live tag: its sorted arrays, and its synopses once read."""
 
     __slots__ = (
         "tag",
         "starts",
         "ends",
         "elements",
-        "pl",
-        "cells",
-        "ttree",
-        "reservoir",
+        "synopses",
         "node_set",
         "inserts",
         "deletes",
     )
 
-    def __init__(
-        self,
-        tag: str,
-        workspace: Workspace,
-        num_buckets: int,
-        num_cells: int,
-        reservoir_capacity: int,
-        seed: int,
-    ) -> None:
+    def __init__(self, tag: str) -> None:
         self.tag = tag
         self.starts: list[int] = []
         self.ends: list[int] = []
         self.elements: list[Element] = []  # aligned with starts/ends
-        self.pl = IncrementalPLHistogram(workspace, num_buckets)
-        self.cells = IncrementalCellHistogram(workspace, num_cells)
-        self.ttree = DynamicTTree()
-        self.reservoir = ReservoirSample(
-            reservoir_capacity,
-            seed=(seed * 1_000_003) ^ zlib.crc32(tag.encode()),
-        )
+        self.synopses: _Synopses | None = None
         self.node_set: NodeSet | None = None
         self.inserts = 0
         self.deletes = 0
@@ -137,39 +172,29 @@ class _TagState:
             return index
         return -1
 
-    def insert(self, element: Element) -> None:
+    def add(self, element: Element) -> None:
+        """Insert into the sorted arrays only."""
         index = bisect_left(self.starts, element.start)
         if index < len(self.starts) and self.starts[index] == element.start:
             raise StreamError(
                 f"duplicate insert: element ({element.start}, "
                 f"{element.end}) is already live under tag {self.tag!r}"
             )
-        self.pl.insert(element)  # validates the workspace bounds first
-        self.cells.insert(element)
-        self.ttree.insert(element)
-        self.reservoir.add(element)
         self.starts.insert(index, element.start)
         self.ends.insert(index, element.end)
         self.elements.insert(index, element)
-        self.node_set = None
-        self.inserts += 1
 
-    def remove(self, element: Element) -> None:
+    def discard(self, element: Element) -> Element:
+        """Remove from the sorted arrays only; returns the stored element."""
         index = self.index_of(element)
         if index < 0:
             raise StreamError(
                 f"delete of a non-live element ({element.start}, "
                 f"{element.end}) under tag {self.tag!r}"
             )
-        self.pl.remove(element)
-        self.cells.remove(element)
-        self.ttree.delete(element)
-        self.reservoir.remove(self.elements[index])
         del self.starts[index]
         del self.ends[index]
-        del self.elements[index]
-        self.node_set = None
-        self.deletes += 1
+        return self.elements.pop(index)
 
     def materialize(self) -> NodeSet:
         if self.node_set is None:
@@ -185,7 +210,7 @@ class LiveWorkspace:
     """One tenant's continuously mutating element store.
 
     Args:
-        workspace: fixed position domain every mutation must fall in.
+        workspace: fixed position domain every element must fall in.
         elements: initial live population (e.g. ``feed.bootstrap()``).
         num_buckets / num_cells: synopsis resolutions, as in the
             estimators.
@@ -208,6 +233,12 @@ class LiveWorkspace:
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self.workspace = workspace.validate()
+        if min(num_buckets, num_cells, reservoir_capacity) < 1:
+            raise StreamError(
+                f"num_buckets, num_cells and reservoir_capacity must be "
+                f">= 1, got {num_buckets}, {num_cells} and "
+                f"{reservoir_capacity}"
+            )
         self.num_buckets = num_buckets
         self.num_cells = num_cells
         self.reservoir_capacity = reservoir_capacity
@@ -227,8 +258,13 @@ class LiveWorkspace:
         self.applied_mutations = 0
         self.invalidated_entries = 0
         self.estimates_served = 0
+        lo, hi = self.workspace
         for element in elements:
-            self._state(element.tag).insert(element)
+            if not (lo <= element.start and element.end <= hi):
+                raise _outside("bootstrap", element, self.workspace)
+            state = self._state(element.tag)
+            state.add(element)
+            state.inserts += 1
 
     # -- wiring -------------------------------------------------------
 
@@ -257,15 +293,7 @@ class LiveWorkspace:
     def _state(self, tag: str) -> _TagState:
         state = self._tags.get(tag)
         if state is None:
-            state = _TagState(
-                tag,
-                self.workspace,
-                self.num_buckets,
-                self.num_cells,
-                self.reservoir_capacity,
-                self.seed,
-            )
-            self._tags[tag] = state
+            state = self._tags[tag] = _TagState(tag)
         return state
 
     def _live_state(self, tag: str) -> _TagState:
@@ -282,19 +310,32 @@ class LiveWorkspace:
     def ingest(self, batch: MutationBatch | Iterable[Mutation]) -> int:
         """Enqueue one mutation batch; returns its sequence number.
 
-        O(1): nothing is applied until :meth:`apply_pending` (or the
-        service's staleness enforcement) catches up.
+        O(size of the batch): every element and replacement is checked
+        against the workspace, and a batch that fails the check is
+        rejected before it is queued.  Nothing is applied until
+        :meth:`apply_pending` (or the service's staleness enforcement)
+        catches up.
         """
         mutations = (
             batch.mutations
             if isinstance(batch, MutationBatch)
             else tuple(batch)
         )
+        lo, hi = self.workspace
         for mutation in mutations:
             if not isinstance(mutation, Mutation):
                 raise StreamError(
                     f"expected a Mutation, got {type(mutation).__name__}"
                 )
+            # Checked inline, not through a helper: every write passes here.
+            element = mutation.element
+            if not (lo <= element.start and element.end <= hi):
+                raise _outside("mutation", element, self.workspace)
+            element = mutation.replacement
+            if element is not None and not (
+                lo <= element.start and element.end <= hi
+            ):
+                raise _outside("mutation", element, self.workspace)
         now = self._clock()
         with self._lock:
             self._ingest_seq += 1
@@ -320,46 +361,77 @@ class LiveWorkspace:
                 fingerprint
             )
 
-    def _apply_one(self, mutation: Mutation) -> None:
-        element = mutation.element
-        if not (
-            self.workspace.contains(element.start)
-            and self.workspace.contains(element.end)
-        ):
-            raise StreamError(
-                f"mutation element ({element.start}, {element.end}) "
-                f"outside workspace {tuple(self.workspace)}"
-            )
-        if mutation.op == "insert":
-            state = self._state(element.tag)
+    def _apply_batch(self, mutations: tuple[Mutation, ...]) -> None:
+        """Apply one batch whole, or undo it and re-raise.
+
+        The sorted arrays change first; the synopses, counters, caches
+        and node sets only once every mutation of the batch succeeded.
+        """
+        known = len(self._tags)
+        done: list[tuple[_TagState, Element, bool]] = []  # inserted?
+        try:
+            for mutation in mutations:
+                element = mutation.element
+                if mutation.op == "insert":
+                    state = self._state(element.tag)
+                    state.add(element)
+                    done.append((state, element, True))
+                    continue
+                state = self._live_state(element.tag)
+                done.append((state, state.discard(element), False))
+                if mutation.op == "update":
+                    replacement = mutation.replacement
+                    assert replacement is not None  # Mutation.__post_init__
+                    state = self._state(replacement.tag)
+                    state.add(replacement)
+                    done.append((state, replacement, True))
+        except StreamError:
+            for state, element, inserted in reversed(done):
+                if inserted:
+                    state.discard(element)
+                else:
+                    state.add(element)
+            for tag in list(self._tags)[known:]:
+                del self._tags[tag]
+            raise
+        touched: dict[str, _TagState] = {}
+        for state, element, inserted in done:
+            touched[state.tag] = state
+            synopses = state.synopses
+            if inserted:
+                state.inserts += 1
+                if synopses is not None:
+                    synopses.insert(element)
+            else:
+                state.deletes += 1
+                if synopses is not None:
+                    synopses.remove(element)
+        for state in touched.values():
             self._invalidate(state)
-            state.insert(element)
-        elif mutation.op == "delete":
-            state = self._live_state(element.tag)
-            self._invalidate(state)
-            state.remove(element)
-        else:  # update: recode = delete + insert
-            replacement = mutation.replacement
-            assert replacement is not None  # Mutation.__post_init__
-            old_state = self._live_state(element.tag)
-            self._invalidate(old_state)
-            old_state.remove(element)
-            new_state = self._state(replacement.tag)
-            if new_state is not old_state:
-                self._invalidate(new_state)
-            new_state.insert(replacement)
+            state.node_set = None
 
     def apply_pending(self) -> int:
-        """Apply every enqueued batch; returns how many were applied."""
+        """Apply every enqueued batch; returns how many were applied.
+
+        A batch that fails is undone and dropped: ``applied_seq`` moves
+        past it, later batches stay queued, and the ``StreamError``
+        names its sequence number.
+        """
         with self._lock:
             applied = 0
             while self._pending:
                 seq, _, mutations = self._pending.popleft()
-                for mutation in mutations:
-                    self._apply_one(mutation)
-                    self.applied_mutations += 1
+                try:
+                    self._apply_batch(mutations)
+                except StreamError as error:
+                    self._applied_seq = seq
+                    raise StreamError(
+                        f"batch {seq} rejected, none of its mutations "
+                        f"applied: {error}"
+                    ) from error
                 self._applied_seq = seq
                 self.applied_batches += 1
+                self.applied_mutations += len(mutations)
                 applied += 1
             return applied
 
@@ -460,21 +532,25 @@ class LiveWorkspace:
             elements = tuple(self._live_state(tag).elements)
         return NodeSet(elements, name=tag)
 
-    def pl_histogram(self, tag: str) -> IncrementalPLHistogram:
+    def _synopses(self, tag: str) -> _Synopses:
+        """The tag's synopses, built from its current elements if unread."""
         with self._lock:
-            return self._live_state(tag).pl
+            state = self._live_state(tag)
+            if state.synopses is None:
+                state.synopses = _Synopses(self, tag, state.elements)
+            return state.synopses
+
+    def pl_histogram(self, tag: str) -> IncrementalPLHistogram:
+        return self._synopses(tag).pl
 
     def cell_histogram(self, tag: str) -> IncrementalCellHistogram:
-        with self._lock:
-            return self._live_state(tag).cells
+        return self._synopses(tag).cells
 
     def ttree(self, tag: str) -> DynamicTTree:
-        with self._lock:
-            return self._live_state(tag).ttree
+        return self._synopses(tag).ttree
 
     def reservoir(self, tag: str) -> ReservoirSample:
-        with self._lock:
-            return self._live_state(tag).reservoir
+        return self._synopses(tag).reservoir
 
     def coverage_bounds(self, tag: str) -> np.ndarray:
         """Merged coverage intervals of the tag's current population.
@@ -485,6 +561,11 @@ class LiveWorkspace:
         return merged_interval_bounds(self.node_set(tag))
 
     def stats(self) -> dict:
+        """Counters per tag and tenant.
+
+        A tag's ``reservoir`` is its sample size, or ``None`` while
+        nothing has read its synopses (stats never builds them).
+        """
         with self._lock:
             return {
                 "tenant": self.tenant,
@@ -493,7 +574,11 @@ class LiveWorkspace:
                         "live": len(state.starts),
                         "inserts": state.inserts,
                         "deletes": state.deletes,
-                        "reservoir": len(state.reservoir),
+                        "reservoir": (
+                            len(state.synopses.reservoir)
+                            if state.synopses is not None
+                            else None
+                        ),
                     }
                     for tag, state in sorted(self._tags.items())
                 },

@@ -6,9 +6,11 @@ The rest live on disk as pager-backed element files
 (:mod:`repro.storage.element_file`): eviction catches the tenant up,
 writes its whole element population (tags and levels included) through
 the page format, and frees the in-memory structures; the next access
-pages the file back in and rebuilds the maintained synopses from the
-stored elements.  Admission is LRU — touching a tenant via
-:meth:`get` or :meth:`create` makes it most-recently-used.
+pages the file back in and rebuilds the per-tag sorted arrays from the
+stored elements.  Neither a spill nor a load builds a tag's synopses:
+as in any :class:`LiveWorkspace`, they are built from the current
+elements when something first reads them.  Admission is LRU — touching
+a tenant via :meth:`get` or :meth:`create` makes it most-recently-used.
 
 Isolation: every workspace invalidates caches only under its *own*
 content fingerprints (see :meth:`LiveWorkspace.attach_caches`), so
@@ -17,9 +19,9 @@ counters of another tenant's entries — a property the cache-level
 and service-level isolation tests in ``tests/test_stream.py`` assert.
 
 Sequence numbers and applied counters survive the spill/load cycle via
-a JSON sidecar; reservoir samples are redrawn on load (a reloaded
-tenant starts a fresh sample stream — uniformity, not replay, is the
-reservoir's contract).
+a JSON sidecar; synopses do not, so a reloaded tenant's reservoir
+samples are redrawn on their next read (a fresh sample stream —
+uniformity, not replay, is the reservoir's contract).
 """
 
 from __future__ import annotations

@@ -397,8 +397,15 @@ class TestLiveWorkspaceDeltaEdgeCases:
         from repro.stream import Mutation
 
         live, elements = self._workspace()
+        # Read every synopsis first, so the batches below update them
+        # incrementally instead of building them on the next read.
+        live.pl_histogram("a")
+        live.cell_histogram("a")
+        live.ttree("a")
+        assert len(live.reservoir("a")) == len(elements)
         live.apply([Mutation("delete", e) for e in elements])
         assert live.size("a") == 0
+        assert live.reservoir("a").live == len(live.reservoir("a")) == 0
         assert len(live.node_set("a")) == 0
         assert live.ttree("a").turning_points() == []
         assert all(
@@ -409,6 +416,11 @@ class TestLiveWorkspaceDeltaEdgeCases:
         live.apply([Mutation("insert", elements[2])])
         assert live.size("a") == 1
         assert live.rebuild_node_set("a").elements == (elements[2],)
+        assert live.ttree("a").turning_points() == [
+            (elements[2].start, 1),
+            (elements[2].end + 1, 0),
+        ]
+        assert live.reservoir("a").sample == [elements[2]]
 
     def test_duplicate_insert_rejected(self):
         from repro.core.errors import StreamError

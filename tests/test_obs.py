@@ -210,9 +210,9 @@ class TestTelemetry:
 
     def test_memory_sink(self):
         sink, buffer = obs.memory_sink()
-        sink.emit({"event": "bench"})
+        sink.emit({"event": "span", "name": "probe"})
         records = obs.read_telemetry(io.StringIO(buffer.getvalue()))
-        assert records == [{"event": "bench"}]
+        assert records == [{"event": "span", "name": "probe"}]
 
 
 class TestObserve:

@@ -231,6 +231,274 @@ class TestLiveWorkspace:
         assert stats["applied_batches"] == 1
 
 
+def _population(live: LiveWorkspace) -> dict[str, list[tuple[int, int]]]:
+    return {
+        tag: [(e.start, e.end) for e in live.rebuild_node_set(tag).elements]
+        for tag in live.tags()
+    }
+
+
+def _fingerprints(live: LiveWorkspace) -> dict[str, str]:
+    return {tag: live.fingerprint(tag) for tag in live.tags()}
+
+
+class TestBatchAtomicity:
+    """A batch applies whole or not at all; bad elements never queue."""
+
+    def _live(self):
+        return LiveWorkspace(
+            Workspace(0, 50),
+            elements=[Element("a", 1, 10), Element("a", 11, 20)],
+            seed=0,
+        )
+
+    def test_out_of_workspace_update_rejected_before_queue(self):
+        live = self._live()
+        before = (_population(live), _fingerprints(live))
+        with pytest.raises(StreamError, match="outside workspace"):
+            live.apply(
+                [Mutation("update", Element("a", 1, 10), Element("a", 60, 70))]
+            )
+        assert (_population(live), _fingerprints(live)) == before
+        assert (live.ingest_seq, live.applied_seq) == (0, 0)
+        assert live.pending_batches == 0
+
+    def test_out_of_workspace_bootstrap_rejected(self):
+        with pytest.raises(StreamError, match="bootstrap element"):
+            LiveWorkspace(Workspace(0, 50), elements=[Element("a", 40, 60)])
+
+    def test_failed_batch_is_undone_whole(self):
+        live = self._live()
+        cache = SummaryCache()
+        live.attach_caches(cache)
+        served = live.node_set("a")
+        cache.put(("summary", served.fingerprint), "warm")
+        before = (_population(live), _fingerprints(live))
+        batch = [
+            Mutation("delete", Element("a", 1, 10)),
+            Mutation("delete", Element("a", 30, 40)),  # not live
+            Mutation("delete", Element("a", 11, 20)),
+        ]
+        with pytest.raises(StreamError, match=r"batch 1 rejected.*non-live"):
+            live.apply(batch)
+        assert (_population(live), _fingerprints(live)) == before
+        assert live.node_set("a") is served
+        assert cache.peek(("summary", served.fingerprint)) == "warm"
+        # The rejected batch is dropped, not left to block later ones.
+        assert live.applied_seq == 1 and live.pending_batches == 0
+        assert live.staleness_s() == 0.0
+        assert (live.applied_batches, live.applied_mutations) == (0, 0)
+        assert live.stats()["tags"]["a"]["deletes"] == 0
+        assert live.apply([Mutation("delete", Element("a", 11, 20))]) == 2
+        assert _population(live) == {"a": [(1, 10)]}
+
+    def test_failed_batch_drops_tags_it_created(self):
+        live = self._live()
+        synopses = (
+            live.pl_histogram("a"),
+            live.cell_histogram("a"),
+            live.ttree("a"),
+            live.reservoir("a"),
+        )
+        reservoir_before = live.reservoir("a").sample
+        batch = [
+            Mutation("update", Element("a", 1, 10), Element("b", 21, 29)),
+            Mutation("insert", Element("a", 11, 19)),  # duplicate start
+        ]
+        with pytest.raises(StreamError, match="duplicate insert"):
+            live.apply(batch)
+        assert live.tags() == ["a"]
+        assert _population(live) == {"a": [(1, 10), (11, 20)]}
+        pl, cells, ttree, reservoir = synopses
+        assert len(pl) == len(cells) == len(ttree) == reservoir.live == 2
+        assert reservoir.sample == reservoir_before
+
+    def test_later_batches_stay_queued_after_a_rejection(self):
+        live = self._live()
+        live.ingest([Mutation("delete", Element("a", 30, 40))])
+        live.ingest([Mutation("delete", Element("a", 1, 10))])
+        with pytest.raises(StreamError, match="batch 1 rejected"):
+            live.apply_pending()
+        assert live.applied_seq == 1 and live.pending_batches == 1
+        assert live.apply_pending() == 1
+        assert _population(live) == {"a": [(11, 20)]}
+
+
+def _synopsis_rebuild_mismatches(live: LiveWorkspace, tag: str) -> list:
+    """Where the tag's maintained synopses differ from a rebuild."""
+    from repro.estimators.pl_histogram import PLHistogram
+    from repro.estimators.ph_histogram import cell_histogram
+    from repro.maintenance import DynamicTTree
+
+    rebuilt = live.rebuild_node_set(tag)
+    pl = live.pl_histogram(tag)
+    want_anc = PLHistogram.build_ancestor(
+        rebuilt, live.workspace, live.num_buckets
+    )
+    want_desc = PLHistogram.build_descendant(
+        rebuilt, live.workspace, live.num_buckets
+    )
+    wrong = []
+    for got, want in zip(pl.ancestor_histogram().buckets, want_anc.buckets):
+        if got.n != want.n or got.total_length != pytest.approx(
+            want.total_length, rel=1e-12, abs=1e-9
+        ):
+            wrong.append(("PL ancestor", want.index))
+    for got, want in zip(
+        pl.descendant_histogram().buckets, want_desc.buckets
+    ):
+        if got.n != want.n:
+            wrong.append(("PL descendant", want.index))
+    cells = live.cell_histogram(tag)
+    if dict(cells.cell_histogram()) != dict(
+        cell_histogram(rebuilt, live.workspace, cells.side)
+    ):
+        wrong.append(("PH cells", None))
+    if (
+        live.ttree(tag).turning_points()
+        != DynamicTTree(rebuilt.elements).turning_points()
+    ):
+        wrong.append(("T-tree", None))
+    reservoir = live.reservoir(tag)
+    population = set(rebuilt.elements)
+    if reservoir.live != len(population):
+        wrong.append(("reservoir live", reservoir.live))
+    if not population.issuperset(reservoir.sample) or len(
+        reservoir.sample
+    ) > min(reservoir.capacity, len(population)):
+        wrong.append(("reservoir sample", len(reservoir.sample)))
+    return wrong
+
+
+@pytest.fixture
+def synopsis_builds(monkeypatch):
+    """Counts constructions of the four synopsis classes in live."""
+    import repro.stream.live as live_module
+
+    built: dict[str, int] = {}
+    for name in (
+        "IncrementalPLHistogram",
+        "IncrementalCellHistogram",
+        "DynamicTTree",
+        "ReservoirSample",
+    ):
+        real = getattr(live_module, name)
+
+        def spy(*args, _real=real, _name=name, **kwargs):
+            built[_name] = built.get(_name, 0) + 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(live_module, name, spy)
+    return built
+
+
+class TestLazySynopses:
+    """Synopses are built on first read, then kept current."""
+
+    def test_churn_without_reads_builds_no_synopses(
+        self, tmp_path, synopsis_builds
+    ):
+        feed = MutationFeed(_pool(30), seed=21)
+        store = CatalogStore(tmp_path, capacity=1)
+        store.create(
+            "alpha",
+            WORKSPACE,
+            elements=feed.bootstrap(),
+            num_buckets=8,
+            seed=21,
+        )
+        service = EstimationService(live=store, workers=0)
+        try:
+            for i, batch in enumerate(feed.batches(12, 6)):
+                alpha = store.get("alpha")
+                alpha.ingest(batch)
+                if i % 3 == 2:
+                    alpha.apply_pending()
+                for method, config in (
+                    ("PL", {"num_buckets": 8}),
+                    ("IM", {"num_samples": 10, "seed": i}),
+                ):
+                    response = service.estimate(
+                        "a", "d", method, tenant="alpha", **config
+                    )
+                    assert response.status == "ok"
+                alpha.snapshot("a", "d")
+                alpha.coverage_bounds("a")
+                store.stats()
+                if i == 5:  # spill alpha, then page it back in
+                    store.create("beta", WORKSPACE, elements=_pool(5, 900))
+                    assert store.resident_tenants() == ["beta"]
+                    store.get("alpha")
+        finally:
+            service.close()
+        assert synopsis_builds == {}
+        tags = store.stats()["tenants"]["alpha"]["tags"]
+        assert {tag: row["reservoir"] for tag, row in tags.items()} == {
+            "a": None,
+            "d": None,
+        }
+        store.get("alpha").ttree("a")
+        assert synopsis_builds == {
+            "IncrementalPLHistogram": 1,
+            "IncrementalCellHistogram": 1,
+            "DynamicTTree": 1,
+            "ReservoirSample": 1,
+        }
+        assert store.stats()["tenants"]["alpha"]["tags"]["d"][
+            "reservoir"
+        ] is None
+
+    def test_first_read_mid_stream_then_kept_current(self, tmp_path):
+        feed = MutationFeed(_pool(40), seed=8)
+        store = CatalogStore(tmp_path, capacity=1)
+        options = {
+            "num_buckets": 8,
+            "num_cells": 16,
+            "reservoir_capacity": 8,
+            "seed": 8,
+        }
+        alpha = store.create(
+            "alpha", WORKSPACE, elements=feed.bootstrap(), **options
+        )
+
+        def rebuilt(live):
+            """A fresh workspace over the live population."""
+            return LiveWorkspace(
+                WORKSPACE,
+                elements=[
+                    e for tag in live.tags()
+                    for e in live.rebuild_node_set(tag).elements
+                ],
+                **options,
+            )
+
+        for batch in feed.batches(4, 8):
+            alpha.apply(batch)
+        # First read mid-stream: built from the current elements, so
+        # even the reservoir equals a fresh workspace's.
+        fresh = rebuilt(alpha)
+        for tag in alpha.tags():
+            assert alpha.reservoir(tag).sample == fresh.reservoir(tag).sample
+            assert _synopsis_rebuild_mismatches(alpha, tag) == []
+        for batch in feed.batches(6, 8):
+            alpha.apply(batch)
+            for tag in alpha.tags():
+                assert _synopsis_rebuild_mismatches(alpha, tag) == []
+        store.create("beta", WORKSPACE, elements=_pool(5, 900))
+        assert store.resident_tenants() == ["beta"]
+        reloaded = store.get("alpha")
+        fresh = rebuilt(reloaded)
+        for tag in reloaded.tags():
+            assert (
+                reloaded.reservoir(tag).sample
+                == fresh.reservoir(tag).sample
+            )
+        for batch in feed.batches(6, 8):
+            reloaded.apply(batch)
+            for tag in reloaded.tags():
+                assert _synopsis_rebuild_mismatches(reloaded, tag) == []
+
+
 class TestFingerprintInvalidation:
     """Writes bump fingerprints; stale cache entries can never serve."""
 
