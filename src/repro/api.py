@@ -199,7 +199,6 @@ _MODULES: dict[str, str] = {
     "QA": "repro.qa",
     "ROUTER": "repro.router",
     "SERVICE": "repro.service",
-    "SHARD": "repro.shard",
     "STORAGE": "repro.storage",
     "STREAM": "repro.stream",
     "XMLTREE": "repro.xmltree",
@@ -412,7 +411,6 @@ def build_catalog(
     seed: SeedLike = None,
     tags: list[str] | None = None,
     cache: SummaryCache | None = None,
-    num_shards: int = 1,
 ) -> StatisticsCatalog:
     """Build a per-tag statistics catalog for plan-time estimation.
 
@@ -428,9 +426,6 @@ def build_catalog(
         seed: RNG seed for sample mode.
         tags: restrict the catalog to these tags.
         cache: summary cache consulted for the per-tag builds.
-        num_shards: build histogram entries as ``num_shards`` per-shard
-            builds merged bucket-wise (see :mod:`repro.shard`); bucket
-            counts stay bit-exact versus the unsharded build.
 
     The result answers ``catalog.estimate_join(a_tag, d_tag)`` with no
     base-data access.
@@ -446,5 +441,4 @@ def build_catalog(
         seed=seed,
         tags=tags,
         cache=cache,
-        num_shards=num_shards,
     )

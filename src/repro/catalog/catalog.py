@@ -46,8 +46,6 @@ from repro.estimators.pl_histogram import (
 )
 from repro.estimators.two_sample import two_sample_estimate
 from repro.perf.cache import SummaryCache, resolve_cache
-from repro.shard.merge import merge_pl_histograms
-from repro.shard.partition import shard_node_set
 from repro.xmltree.tree import DataTree
 
 CatalogMethod = Literal["histogram", "sample"]
@@ -88,13 +86,6 @@ class StatisticsCatalog:
             so rebuilding a catalog (or building several with overlapping
             tag lists) reuses previously built summaries; defaults to the
             ambient cache installed by :func:`repro.perf.use_cache`.
-        num_shards: histogram-mode entries are built as ``num_shards``
-            independent per-shard builds merged bucket-wise
-            (:mod:`repro.shard`).  Bucket counts match the unsharded
-            build bit-exactly; per-bucket ``total_length`` is the same
-            float sum re-bracketed at shard seams (1e-12 relative).
-            Sample mode ignores sharding — one global draw keeps the
-            sample uniform.
     """
 
     def __init__(
@@ -105,19 +96,13 @@ class StatisticsCatalog:
         seed: SeedLike = None,
         tags: list[str] | None = None,
         cache: SummaryCache | None = None,
-        num_shards: int = 1,
     ) -> None:
         if method not in ("histogram", "sample"):
             raise EstimationError(f"unknown catalog method {method!r}")
-        if num_shards < 1:
-            raise EstimationError(
-                f"num_shards must be >= 1, got {num_shards}"
-            )
         self.method: CatalogMethod = method
         self.budget_per_tag = budget_per_tag
         self.workspace: Workspace = tree.workspace()
         self.cache = cache
-        self.num_shards = num_shards
         rng = make_rng(seed)
         self._entries: dict[str, CatalogEntry] = {}
         for tag in tags if tags is not None else sorted(tree.tags()):
@@ -136,11 +121,11 @@ class StatisticsCatalog:
             return CatalogEntry(
                 tag=node_set.name,
                 cardinality=len(node_set),
-                ancestor_histogram=self._build_histogram(
-                    node_set, buckets, build_ancestor_cached, cache
+                ancestor_histogram=build_ancestor_cached(
+                    node_set, self.workspace, buckets, cache=cache
                 ),
-                descendant_histogram=self._build_histogram(
-                    node_set, buckets, build_descendant_cached, cache
+                descendant_histogram=build_descendant_cached(
+                    node_set, self.workspace, buckets, cache=cache
                 ),
             )
         # Sample mode: one element sample serves both roles; an interval
@@ -153,31 +138,6 @@ class StatisticsCatalog:
             tag=node_set.name,
             cardinality=len(node_set),
             sample=sample,
-        )
-
-    def _build_histogram(
-        self,
-        node_set: NodeSet,
-        buckets: int,
-        builder,
-        cache: SummaryCache | None,
-    ) -> PLHistogram:
-        """One role's histogram, sharded when ``num_shards > 1``.
-
-        Every shard is built against the global workspace, so bucket
-        edges agree and :func:`merge_pl_histograms` adds bucket-wise.
-        Empty shards (cardinality below ``num_shards``) contribute
-        nothing and are skipped.
-        """
-        if self.num_shards == 1:
-            return builder(node_set, self.workspace, buckets, cache=cache)
-        shards = shard_node_set(node_set, self.num_shards, cache=cache)
-        return merge_pl_histograms(
-            [
-                builder(shard, self.workspace, buckets, cache=cache)
-                for shard in shards
-                if len(shard)
-            ]
         )
 
     # ------------------------------------------------------------------

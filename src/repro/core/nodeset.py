@@ -69,13 +69,14 @@ class NodeSet:
         """Construct directly from aligned start/end code arrays.
 
         The arrays must already be start-sorted and satisfy the region
-        invariants (the intended callers — shard partitioning, shared-
-        memory attach — slice them out of an already validated set).
-        Elements are materialized lazily, only if something iterates the
-        set; the numpy views every kernel uses are the arrays themselves
-        (shared, not copied — read-only views stay read-only).  Passing
-        the precomputed ``fingerprint`` keeps cache keys content-stable
-        without re-hashing in every worker process.
+        invariants; nothing here checks them (the callers — a live
+        workspace's maintained arrays, a decoded wire payload — are
+        trusted to).  Elements are materialized lazily, only if
+        something iterates the set, with the set's name as their tag
+        and level 0; the numpy views every kernel uses are the arrays
+        themselves (shared, not copied — read-only views stay
+        read-only).  Passing the precomputed ``fingerprint`` keeps cache
+        keys content-stable without re-hashing.
         """
         starts = np.asarray(starts, dtype=np.int64)
         ends = np.asarray(ends, dtype=np.int64)

@@ -58,9 +58,9 @@ def merged_interval_bounds(node_set: NodeSet) -> np.ndarray:
     — a new component begins wherever a start code exceeds every
     previous end — and the bounds come back as one ``column_stack``
     instead of a Python tuple list.  Every hot path (the cached COV
-    summary, the shard merge layer) consumes this form directly; the
-    tuple-list API below survives for compatibility and the reference
-    parity suite.
+    summary, the live workspace's coverage bounds) consumes this form
+    directly; the tuple-list API below survives for compatibility and
+    the reference parity suite.
     """
     if perf.reference_kernels_enabled():
         merged = merged_intervals_reference(node_set)

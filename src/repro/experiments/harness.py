@@ -23,30 +23,20 @@ Performance controls (see ``docs/ARCHITECTURE.md``):
   — per-run seeds are drawn from the method generator in the exact
   order the sequential loop would draw them and each run's estimate is
   bit-identical to its sequential counterpart, so aggregates are
-  unchanged to the last ulp;
-* ``workers=`` fans queries out over forked worker processes.  Every
-  per-query seed is derived from the master generator *before* the
-  fan-out, in the exact order the serial loop would draw them, so
-  ``workers=N`` returns rows identical to ``workers=1``.
+  unchanged to the last ulp.
 
 Observability (see ``docs/API.md``): while :func:`repro.obs.observe`
 is active, every estimator call records into the ambient metrics
 registry and each finished query row is streamed to the ambient
-telemetry sink as a ``query`` event.  Under the fork fan-out each query
-is evaluated inside a fresh worker-local registry whose snapshot rides
-back with the row; the parent merges the snapshots (in query order)
-into its own registry, so totals are identical for every worker count,
-serial runs included.
+telemetry sink as a ``query`` event.
 """
 
 from __future__ import annotations
 
-import math
-import multiprocessing
 import statistics
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Callable, Literal, Sequence
+from typing import Callable, Literal, Sequence
 
 from repro.core.budget import SpaceBudget
 from repro.core.nodeset import NodeSet
@@ -62,7 +52,6 @@ from repro.estimators.pm_sampling import PMSamplingEstimator
 from repro.estimators.sampling_base import SamplingEstimator
 from repro.join import containment_join_size
 from repro.obs import runtime as _obs
-from repro.obs.metrics import MetricsRegistry
 from repro.perf import reference_kernels_enabled
 from repro.perf.cache import SummaryCache, use_cache
 from repro.perf.index_cache import (
@@ -247,65 +236,6 @@ def _true_size(ancestors: NodeSet, descendants: NodeSet) -> int:
     )
 
 
-#: Fork-inherited state for worker processes.  ``MethodSpec`` factories
-#: are closures that cannot be pickled, so the parallel path relies on
-#: fork semantics: the parent publishes the evaluation context here and
-#: workers receive it by memory inheritance, exchanging only query
-#: indices and result rows over the pipe.
-_FORK_STATE: dict[str, Any] | None = None
-
-
-def _evaluate_query_by_index(
-    index: int,
-) -> tuple[QueryRow, dict[str, Any] | None]:
-    """One query in a worker; returns the row plus its metric snapshot.
-
-    When the parent had observation enabled, the query runs inside a
-    fresh worker-local registry (the parent's sink is explicitly *not*
-    installed — forked workers must never write to its stream) and the
-    registry snapshot travels back with the row for the parent to merge.
-    """
-    state = _FORK_STATE
-    assert state is not None, "worker started without fork state"
-    cache: SummaryCache | None = state["cache"]
-    index_cache: IndexCache | None = state["index_cache"]
-    if index_cache is None and state["auto_index_cache"]:
-        # Mirror the serial path's per-query private cache, keeping
-        # merged counter totals identical for every worker count.
-        index_cache = IndexCache()
-    scope = use_cache(cache) if cache is not None else nullcontext()
-    index_scope = (
-        use_index_cache(index_cache)
-        if index_cache is not None
-        else nullcontext()
-    )
-    with scope, index_scope:
-        if state["observe"]:
-            with _obs.observe(registry=MetricsRegistry()) as registry:
-                row = _evaluate_query(
-                    state["dataset"],
-                    state["queries"][index],
-                    state["methods"],
-                    state["workspace"],
-                    state["runs"],
-                    state["seeds"][index],
-                    state["aggregation"],
-                )
-            return row, registry.snapshot()
-        return (
-            _evaluate_query(
-                state["dataset"],
-                state["queries"][index],
-                state["methods"],
-                state["workspace"],
-                state["runs"],
-                state["seeds"][index],
-                state["aggregation"],
-            ),
-            None,
-        )
-
-
 def evaluate(
     dataset: Dataset,
     queries: Sequence[Query],
@@ -313,34 +243,24 @@ def evaluate(
     runs: int = 11,
     seed: int = 0,
     aggregation: Aggregation = "mean_error",
-    workers: int | None = None,
     cache: SummaryCache | None = None,
     index_cache: IndexCache | None = None,
 ) -> list[QueryRow]:
     """Run every method on every query of one dataset.
 
     Args:
-        workers: fan queries out over this many forked worker processes.
-            Per-query seeds are derived up front from the master
-            generator, so any worker count returns rows identical to the
-            serial run.  Falls back to serial execution on platforms
-            without the fork start method.
         cache: summary cache installed (ambiently) around the sweep;
             histogram-based methods then build each summary once per
-            distinct (node set, workspace, configuration).  Forked
-            workers inherit a copy-on-write snapshot of it.
+            distinct (node set, workspace, configuration).
         index_cache: probe-index cache installed around the sweep for
             the sampling methods (and the exact-size memo).  When
             omitted and no ambient one is active, a private cache is
-            created *per query* — results are identical either way, and
-            per-query caches keep obs counter totals independent of how
-            the parallel path shards queries over workers.  Pass an
-            :class:`~repro.perf.IndexCache` (or install one ambiently,
-            as the Figure 8 sweeps do) to share built indexes and
-            exact-size memos across queries and ``evaluate`` calls.
+            created *per query* — results are identical either way.
+            Pass an :class:`~repro.perf.IndexCache` (or install one
+            ambiently, as the Figure 8 sweeps do) to share built indexes
+            and exact-size memos across queries and ``evaluate`` calls.
 
-    While :func:`repro.obs.observe` is active, per-worker metrics are
-    merged back into the ambient registry and each row is streamed to
+    While :func:`repro.obs.observe` is active, each row is streamed to
     the ambient sink as a ``query`` telemetry event.
     """
     workspace = dataset.tree.workspace()
@@ -350,31 +270,6 @@ def evaluate(
         and not reference_kernels_enabled()
     )
     rng = make_rng(seed)
-    seeds = [
-        [int(rng.integers(0, 2**63 - 1)) for __ in methods]
-        for __ in queries
-    ]
-    worker_count = min(workers or 1, len(queries))
-    if worker_count > 1:
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:
-            context = None
-        if context is not None:
-            return _evaluate_parallel(
-                dataset,
-                queries,
-                methods,
-                workspace,
-                runs,
-                seeds,
-                aggregation,
-                cache,
-                index_cache,
-                auto_index_cache,
-                worker_count,
-                context,
-            )
     scope = use_cache(cache) if cache is not None else nullcontext()
     index_scope = (
         use_index_cache(index_cache)
@@ -383,7 +278,10 @@ def evaluate(
     )
     with scope, index_scope:
         rows = []
-        for index, query in enumerate(queries):
+        for query in queries:
+            method_seeds = [
+                int(rng.integers(0, 2**63 - 1)) for __ in methods
+            ]
             per_query_scope = (
                 use_index_cache(IndexCache())
                 if auto_index_cache
@@ -396,7 +294,7 @@ def evaluate(
                     methods,
                     workspace,
                     runs,
-                    seeds[index],
+                    method_seeds,
                     aggregation,
                 )
             if _obs.enabled():
@@ -405,56 +303,3 @@ def evaluate(
                 )
             rows.append(row)
         return rows
-
-
-def _evaluate_parallel(
-    dataset: Dataset,
-    queries: Sequence[Query],
-    methods: Sequence[MethodSpec],
-    workspace: Workspace,
-    runs: int,
-    seeds: list[list[int]],
-    aggregation: Aggregation,
-    cache: SummaryCache | None,
-    index_cache: IndexCache | None,
-    auto_index_cache: bool,
-    worker_count: int,
-    context: multiprocessing.context.BaseContext,
-) -> list[QueryRow]:
-    global _FORK_STATE
-    _FORK_STATE = {
-        "dataset": dataset,
-        "queries": list(queries),
-        "methods": list(methods),
-        "workspace": workspace,
-        "runs": runs,
-        "seeds": seeds,
-        "aggregation": aggregation,
-        "cache": cache,
-        "index_cache": index_cache,
-        "auto_index_cache": auto_index_cache,
-        "observe": _obs.enabled(),
-    }
-    try:
-        with context.Pool(worker_count) as pool:
-            chunksize = max(1, math.ceil(len(queries) / (worker_count * 4)))
-            results = pool.map(
-                _evaluate_query_by_index,
-                range(len(queries)),
-                chunksize=chunksize,
-            )
-    finally:
-        _FORK_STATE = None
-    rows = []
-    registry = _obs.get_registry()
-    for row, snapshot in results:
-        # Merge in query order: parent totals are then independent of
-        # how the pool sharded the queries over workers.
-        if snapshot is not None:
-            registry.merge(snapshot)
-        if _obs.enabled():
-            _obs.record_query(
-                row.query.id, row.true_size, row.errors, row.estimates
-            )
-        rows.append(row)
-    return rows

@@ -62,7 +62,6 @@ def run_bucket_sweep(
     bucket_counts: tuple[int, ...] = BUCKET_SWEEP,
     scale: float = 1.0,
     queries: list[Query] | None = None,
-    workers: int | None = None,
     cache: SummaryCache | None = None,
 ) -> HistogramSweep:
     """Figure 7(a) (method="PH") or 7(b) (method="PL").
@@ -85,7 +84,6 @@ def run_bucket_sweep(
             queries,
             [_method(method, buckets)],
             runs=1,
-            workers=workers,
             cache=cache,
         )
         for row in rows:
@@ -100,7 +98,6 @@ def run_histogram_comparison(
     ph_cells: int = 50,
     pl_buckets: int = 20,
     scale: float = 1.0,
-    workers: int | None = None,
     cache: SummaryCache | None = None,
 ) -> str:
     """Figure 7(c): PH vs PL per query at a fixed (400-byte) budget."""
@@ -113,7 +110,6 @@ def run_histogram_comparison(
         queries,
         [_method("PH", ph_cells), _method("PL", pl_buckets)],
         runs=1,
-        workers=workers,
         cache=cache,
     )
     return format_table(

@@ -54,7 +54,6 @@ def run_overall(
     scale: float = 1.0,
     runs: int = 11,
     seed: int = 0,
-    workers: int | None = None,
     cache: SummaryCache | None = None,
 ) -> list[OverallResult]:
     """Run the overall-performance experiment for one dataset.
@@ -63,7 +62,7 @@ def run_overall(
     200/400/800 bytes, i.e. panels (a)-(c) of Figure 5 or 6).  One
     summary cache (created here unless supplied) spans every budget, so
     the histogram methods build each per-budget summary exactly once
-    across the whole sweep; ``workers`` fans queries out per budget.
+    across the whole sweep.
     """
     if not budgets:
         budgets = paper_budgets()
@@ -79,7 +78,6 @@ def run_overall(
             paper_methods(budget),
             runs=runs,
             seed=seed,
-            workers=workers,
             cache=cache,
         )
         results.append(OverallResult(dataset_name, budget, rows))

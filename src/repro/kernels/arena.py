@@ -3,11 +3,11 @@
 An :class:`OperandArena` gathers, per node set, every derived array the
 fused probe kernels consume — start codes, end codes, sorted end codes,
 turning-point keys and (zero-padded) turning-point values — behind one
-object with one field-naming convention.  The field names are exactly
-the :class:`~repro.shard.arena.ShardArena` publication layout
-(:data:`OPERAND_FIELDS`), so the local hot path and the multi-process
-scatter path share a single SoA format: what a worker attaches from
-shared memory is what a local kernel reads from the arena.
+object with one field-naming convention.  The field names
+(:data:`OPERAND_FIELDS`) are also the binary wire format's operand
+frames (:mod:`repro.service.wire`), so the local hot path and a decoded
+request share a single SoA format: what a receiver views in the payload
+is what a local kernel reads from the arena.
 
 Arenas are cheap views, not copies: every array is the node set's own
 cached view (:attr:`NodeSet.starts`, :attr:`NodeSet.sorted_ends`,
@@ -20,8 +20,9 @@ sharing happens at two levels:
   object reuses one arena;
 * **content level** — with an :class:`~repro.perf.IndexCache`, the
   arena is a cache entry under ``("arena", fingerprint)``: distinct
-  NodeSet objects with equal content (service requests, shard clones)
-  share one arena, with the cache's byte accounting and obs counters.
+  NodeSet objects with equal content (service requests, decoded wire
+  operands) share one arena, with the cache's byte accounting and obs
+  counters.
 
 The arena also hosts the *stab-count table*: the stabbing counts of
 every descendant start against an ancestor set, keyed by both operand
@@ -41,8 +42,8 @@ from repro.core.nodeset import NodeSet
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.perf.index_cache import IndexCache
 
-#: Canonical SoA field order, shared with the shard publication layout
-#: (``repro.shard.pool`` publishes exactly these into its arenas).
+#: Canonical SoA field order, shared with the binary wire format
+#: (``repro.service.wire`` ships exactly these as operand frames).
 OPERAND_FIELDS = ("starts", "ends", "sorted_ends")
 
 
@@ -93,12 +94,12 @@ class OperandArena:
             cached = self._tp_padded = (keys, padded)
         return cached
 
-    def shard_fields(self) -> Mapping[str, np.ndarray]:
-        """The arrays to publish into a :class:`ShardArena`, by name.
+    def wire_fields(self) -> Mapping[str, np.ndarray]:
+        """The arrays a binary wire payload ships, by name.
 
-        One definition of the operand wire/shared-memory layout: the
-        shard pool copies exactly these fields, and
-        :meth:`from_shard_views` inverts the mapping on the attach side.
+        One definition of the operand wire layout: the encoder frames
+        exactly these fields, and :meth:`from_wire_views` inverts the
+        mapping on the decode side.
         """
         return {
             "starts": self.starts,
@@ -107,17 +108,17 @@ class OperandArena:
         }
 
     @classmethod
-    def from_shard_views(
+    def from_wire_views(
         cls,
         views: Mapping[str, np.ndarray],
         name: str | None = None,
         fingerprint: str | None = None,
     ) -> "OperandArena":
-        """Rebuild an arena (and its node set) from attached field views.
+        """Rebuild an arena (and its node set) from decoded field views.
 
-        The inverse of :meth:`shard_fields`: seeds every derived array a
-        view was published for, so the attaching process never re-sorts
-        or re-derives what the owner already computed.
+        The inverse of :meth:`wire_fields`: seeds every derived array a
+        view was shipped for, so the receiver never re-sorts or
+        re-derives what the sender already computed.
         """
         node_set = NodeSet.from_arrays(
             views["starts"],

@@ -121,10 +121,10 @@ def turning_point_arrays(node_set: NodeSet) -> tuple[np.ndarray, np.ndarray]:
 
     The array-native kernel behind :func:`turning_points`: every hot
     consumer (the T-tree's searchsorted probe arrays, bifocal's dense-run
-    scan, the shard merge layer) wants the turning points columnar, so
-    the sweep returns ``(positions, values)`` int64 arrays directly and
-    the tuple-list API below is a zip adapter kept for compatibility and
-    the reference parity suite.
+    scan) wants the turning points columnar, so the sweep returns
+    ``(positions, values)`` int64 arrays directly and the tuple-list API
+    below is a zip adapter kept for compatibility and the reference
+    parity suite.
     """
     if perf.reference_kernels_enabled():
         points = turning_points_reference(node_set)

@@ -6,7 +6,8 @@ per call instead of per sweep:
 
 * :mod:`repro.obs.metrics` — :class:`Counter` / :class:`Histogram` /
   :class:`Timer` primitives in a thread-safe :class:`MetricsRegistry`
-  with a snapshot/merge protocol (used to aggregate forked workers);
+  with a snapshot/merge protocol (``obs-report`` folds the summaries
+  of a telemetry file with it);
 * :mod:`repro.obs.trace` — a span-based :class:`Tracer` with a
   context-manager API;
 * :mod:`repro.obs.telemetry` — a JSONL :class:`TelemetrySink` plus

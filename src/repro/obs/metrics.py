@@ -10,12 +10,11 @@ the shards; under concurrent writers they are eventually consistent —
 exact whenever the writers have quiesced, which is when anyone reads
 them.  The :class:`MetricsRegistry` owns named instances, produces
 JSON-able :meth:`~MetricsRegistry.snapshot` dictionaries, and merges
-snapshots back — the protocol the experiment harness uses to aggregate
-per-worker metrics into the parent process after a fork fan-out.
+snapshots back — the protocol :func:`merge_snapshots` uses to fold the
+summary records of a telemetry file into one.
 
 Merging is associative and commutative over counter values and histogram
-totals, so parent totals are independent of how queries were sharded
-over workers.
+totals, so merged totals are independent of the order of the snapshots.
 """
 
 from __future__ import annotations

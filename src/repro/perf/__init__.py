@@ -1,6 +1,6 @@
-"""The performance layer: vectorized kernels, summary caching, parallelism.
+"""The performance layer: vectorized kernels and summary caching.
 
-Three coordinated pieces (see ``docs/ARCHITECTURE.md``, "Performance
+Two coordinated pieces (see ``docs/ARCHITECTURE.md``, "Performance
 architecture"):
 
 * **kernels** — the histogram/table builders in ``repro.models`` and
@@ -14,9 +14,6 @@ architecture"):
   :class:`IndexCache` does the same for the probe indexes the sampling
   estimators build (stabbing arrays, T-tree, XR-tree, start-position
   B+-tree).
-* **parallel harness** — ``repro.experiments.harness.evaluate`` fans
-  queries out over worker processes (``workers=``) with deterministic
-  per-query seeding.
 """
 
 from __future__ import annotations

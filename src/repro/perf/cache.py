@@ -351,7 +351,7 @@ def use_cache(cache: SummaryCache | None) -> Iterator[SummaryCache | None]:
 
     Passing None makes the block run uncached even inside an outer
     :func:`use_cache` region.  The ambient cache is thread-local: worker
-    threads (and forked worker processes) each install their own.
+    threads each install their own.
     """
     previous = getattr(_local, "cache", None)
     _local.cache = cache

@@ -35,11 +35,6 @@ The oracles cover the layers named in the ROADMAP's production story:
   arm's configuration — the closed loop observes and redirects, it
   never changes a value — and every recorded outcome carries the
   pre-registered exact size.
-* ``sharded-vs-unsharded`` — partitioning the operands into a random
-  number of shards and merging the per-shard summaries
-  (:mod:`repro.shard`) reproduces the unsharded statistics: integer
-  counts bit-exactly, float ``total_length`` sums to 1e-12 relative
-  (reassociation at shard seams only), merged intervals exactly.
 * ``incremental-vs-rebuild`` — churning the case's merged element pool
   through a seeded :class:`~repro.stream.MutationFeed` into a
   :class:`~repro.stream.LiveWorkspace` keeps every maintained synopsis
@@ -522,94 +517,6 @@ def check_feedback_transparency(case: Case) -> None:
             "feedback-transparency",
             "a served record is missing the pre-registered exact size",
         )
-
-
-def check_sharded_vs_unsharded(case: Case) -> None:
-    """Per-shard summaries merged over a random shard count reproduce
-    the unsharded statistics (:mod:`repro.shard`'s exactness contract)."""
-    from repro.estimators.coverage_histogram import merged_interval_bounds
-    from repro.estimators.pl_histogram import (
-        build_ancestor_cached,
-        build_descendant_cached,
-    )
-    from repro.shard import (
-        build_shard_statistics,
-        merge_counts,
-        merge_intervals,
-        merge_pl_histograms,
-        shard_node_set,
-    )
-
-    a, d, w = case.ancestors, case.descendants, case.workspace
-    rng = make_rng(case.seed ^ 0x5A4D)
-    num_shards = int(rng.integers(2, 7))
-    cache = SummaryCache()
-
-    # The plan must partition the operand: concatenating shard arrays
-    # in order reproduces the parent arrays exactly.
-    for node_set in (a, d):
-        shards = shard_node_set(node_set, num_shards, cache=cache)
-        if sum(len(s) for s in shards) != len(node_set):
-            _fail(
-                "sharded-vs-unsharded",
-                f"shard sizes of {node_set.name} do not sum to "
-                f"{len(node_set)}",
-            )
-        rebuilt = np.concatenate([s.starts for s in shards])
-        if not np.array_equal(rebuilt, node_set.starts):
-            _fail(
-                "sharded-vs-unsharded",
-                f"shard concatenation does not rebuild {node_set.name}",
-            )
-
-    statistics = build_shard_statistics(
-        a, d, w, num_shards, num_buckets=8, cache=cache
-    )
-
-    exact = containment_join_size(a, d)
-    merged_count = merge_counts([s.join_count for s in statistics])
-    if merged_count != exact:
-        _fail(
-            "sharded-vs-unsharded",
-            f"merged join count {merged_count} != exact {exact} "
-            f"({num_shards} shards)",
-        )
-
-    global_merged = merged_interval_bounds(a)
-    remerged = merge_intervals([s.merged for s in statistics])
-    if not np.array_equal(remerged, global_merged):
-        _fail(
-            "sharded-vs-unsharded",
-            f"merged intervals differ after {num_shards}-way shard merge",
-        )
-
-    for role, build, operand in (
-        ("ancestor", build_ancestor_cached, a),
-        ("descendant", build_descendant_cached, d),
-    ):
-        unsharded = build(operand, w, 8, cache=cache)
-        merged = merge_pl_histograms(
-            [
-                getattr(s, f"{role}_histogram")
-                for s in statistics
-            ]
-        )
-        for mine, theirs in zip(merged.buckets, unsharded.buckets):
-            if mine.n != theirs.n:
-                _fail(
-                    "sharded-vs-unsharded",
-                    f"{role} bucket {mine.index} count "
-                    f"{mine.n} != {theirs.n}",
-                )
-            # total_length reassociates at shard seams only; beyond
-            # 1e-12 relative is a real merge bug, not float rounding.
-            tolerance = 1e-12 * max(1.0, abs(theirs.total_length))
-            if abs(mine.total_length - theirs.total_length) > tolerance:
-                _fail(
-                    "sharded-vs-unsharded",
-                    f"{role} bucket {mine.index} total_length "
-                    f"{mine.total_length!r} != {theirs.total_length!r}",
-                )
 
 
 # ----------------------------------------------------------------------
@@ -1384,7 +1291,6 @@ ORACLES: dict[str, Callable[[Case], None]] = {
     "fused-vs-reference": check_fused_vs_reference,
     "wire-roundtrip": check_wire_roundtrip,
     "feedback-transparency": check_feedback_transparency,
-    "sharded-vs-unsharded": check_sharded_vs_unsharded,
     "incremental-vs-rebuild": check_incremental_vs_rebuild,
     "planner-invariance": check_planner_invariance,
     "metamorphic": check_metamorphic,

@@ -39,17 +39,6 @@ single caller (``map``) admits through
 when the queue fills, so its own burst coalesces into full micro-batches
 instead of being shed against itself.
 
-**Multi-process scatter (``processes=K``).**  With ``processes=K >= 2``
-the service forks a persistent
-:class:`~repro.shard.pool.ShardWorkerPool` (before any service thread
-starts): operand arrays are published once into shared-memory arenas,
-and each batchable micro-batch is scattered as contiguous configuration
-chunks over the workers, gathered in order — bit-identical to the local
-``estimate_across`` pass because every estimator's RNG stream is seeded
-by its own config.  Deadlines, degradation and the breaker wrap the
-whole scatter; any pool failure falls back to local execution, never to
-a failed request.  ``close()`` stops the pool and unlinks every arena.
-
 Every decision increments ``service.*`` metrics in the service's own
 always-on registry (exposed by :meth:`EstimationService.stats`) and is
 mirrored into the ambient :mod:`repro.obs` registry whenever
@@ -62,7 +51,7 @@ import threading
 import time
 from typing import Any, Callable, Iterable, Sequence
 
-from repro.core.errors import ServiceError
+from repro.core.errors import ServiceError, StreamError
 from repro.core.nodeset import NodeSet
 from repro.core.workspace import Workspace
 from repro.estimators.base import Estimate, Estimator
@@ -85,7 +74,6 @@ from repro.service.request import (
     EstimateResponse,
     ServiceFuture,
 )
-from repro.shard.pool import ShardWorkerPool
 
 
 class _ResultMemo(SummaryCache):
@@ -198,10 +186,6 @@ class EstimationService:
 
     Args:
         workers: worker threads draining the request queue.
-        processes: worker *processes* for scatter/gather execution of
-            batchable micro-batches (0 or 1 = single-process; ``K >= 2``
-            forks a persistent shared-memory pool).  Orthogonal to
-            ``workers`` — threads schedule, processes compute.
         max_batch: cap on requests coalesced into one kernel pass.
         queue_size: admission bound; a full queue sheds (the request is
             still answered — inline, from the bottom ladder rung).
@@ -261,7 +245,6 @@ class EstimationService:
         self,
         *,
         workers: int = 4,
-        processes: int = 0,
         max_batch: int = 16,
         queue_size: int = 1024,
         catalog: Any = None,
@@ -290,10 +273,6 @@ class EstimationService:
         self._correction = correction
         if workers < 0:
             raise ServiceError(f"workers must be >= 0, got {workers}")
-        if processes < 0:
-            raise ServiceError(
-                f"processes must be >= 0, got {processes}"
-            )
         if max_batch < 1:
             raise ServiceError(f"max_batch must be >= 1, got {max_batch}")
         self.max_batch = max_batch
@@ -356,20 +335,6 @@ class EstimationService:
         )
         self._m_run = self.metrics.histogram("service.run_s")
         self._closed = False
-        # The pool forks *before* any service thread exists, so worker
-        # processes never inherit a mid-flight lock.  Scatter only runs
-        # under the default estimator factory: workers rebuild
-        # estimators from configs, which must mean what it means here.
-        self._pool: ShardWorkerPool | None = (
-            ShardWorkerPool(processes) if processes >= 2 else None
-        )
-        self._scatter_ok = (
-            self._pool is not None and self._factory is make_estimator
-        )
-        self._m_scatters = self.metrics.counter("service.scatters")
-        self._m_scatter_fallbacks = self.metrics.counter(
-            "service.scatter_fallbacks"
-        )
         self._m_wire_requests = self.metrics.counter(
             "service.wire_requests"
         )
@@ -418,10 +383,6 @@ class EstimationService:
             self._resolve_shed(future, reason="shutdown")
         if self.live is not None:
             self.live.detach_caches(self.summary_cache, self.index_cache)
-        if self._pool is not None:
-            # Last: stops worker processes and unlinks every
-            # shared-memory arena (the leak-proofing contract).
-            self._pool.close()
 
     # ------------------------------------------------------------------
     # Submission
@@ -500,14 +461,21 @@ class EstimationService:
         the request's bound (a non-blocking attempt: a concurrent writer
         holding the apply lock leaves the backlog for the scheduling-
         time staleness check), then snapshots every string operand at
-        one ``applied_seq``.
+        one ``applied_seq``.  A rejected batch is the writer's error,
+        not this reader's: ``apply_pending`` has already undone, skipped
+        and counted it, so the read keeps catching up past it.
         """
         live = self._live_workspace(tenant)
         if (
             max_staleness_s is not None
             and live.staleness_s(self._clock()) > max_staleness_s
         ):
-            live.catch_up(blocking=False)
+            while True:
+                try:
+                    live.catch_up(blocking=False)
+                except StreamError:
+                    continue
+                break
         names = [
             operand
             for operand in (ancestors, descendants)
@@ -895,9 +863,6 @@ class EstimationService:
             "memo": self._memo.stats() if self._memo else None,
             "summary_cache": self.summary_cache.stats(),
             "index_cache": self.index_cache.stats(),
-            "pool": (
-                self._pool.stats() if self._pool is not None else None
-            ),
             "staleness_p99_s": self._m_staleness.percentile(99.0),
             "staleness_violations": self._m_staleness_violations.value,
             "live": self.live.stats() if self.live is not None else None,
@@ -1016,7 +981,6 @@ class EstimationService:
     ) -> None:
         """Run full-fidelity requests, batched through ``estimate_across``
         when their estimators are compatible, sequentially otherwise."""
-        request0 = futures[0].request
         try:
             estimators = [
                 self._factory(f.request.method, **f.request.config)
@@ -1034,34 +998,16 @@ class EstimationService:
         run_start = self._clock()
         results: list[Estimate] | None = None
         if len(futures) > 1 and SamplingEstimator.batchable(estimators):
-            if self._scatter_ok:
-                # Scatter the batch over the process pool: workers
-                # rebuild the estimators from the (seed-bearing)
-                # configs, so the gathered results are bit-identical
-                # to the local pass below.  Any pool trouble falls
-                # back to local execution.
-                try:
-                    results = self._pool.scatter(
-                        request0.method,
-                        [f.request.config for f in futures],
-                        request0.ancestors,
-                        request0.descendants,
-                        request0.workspace,
-                    )
-                    self._m_scatters.inc()
-                except ServiceError:
-                    self._m_scatter_fallbacks.inc()
-                    results = None
-            if results is None:
-                try:
-                    results = SamplingEstimator.estimate_across(
-                        estimators,
-                        request0.ancestors,
-                        request0.descendants,
-                        request0.workspace,
-                    )
-                except Exception:
-                    results = None  # fall through to sequential
+            request0 = futures[0].request
+            try:
+                results = SamplingEstimator.estimate_across(
+                    estimators,
+                    request0.ancestors,
+                    request0.descendants,
+                    request0.workspace,
+                )
+            except Exception:
+                results = None  # fall through to sequential
         if results is not None:
             elapsed = self._clock() - run_start
             per_request = elapsed / len(futures)

@@ -14,13 +14,13 @@ align 64   frames: raw little-endian array bytes, each 64-byte aligned
 ``````
 
 The JSON header carries everything *about* the payload — method,
-config, workspace, request id, and per-operand field tables in the
-:meth:`repro.shard.arena.ShardArena.manifest` style (field name →
-frame, frame → dtype/shape/offset) — while the arrays themselves are
-appended verbatim.  Decoding is :func:`np.frombuffer` per frame: no
-parsing, no copy — the resulting ``NodeSet`` views alias the payload
-buffer, exactly like a shard worker attaching a shared-memory arena
-(the sorted-end frame is shipped too, so the receiver never re-sorts).
+config, workspace, request id, and per-operand field tables (field
+name → frame, frame → dtype/shape/offset, the fields of
+:meth:`~repro.kernels.arena.OperandArena.wire_fields`) — while the
+arrays themselves are appended verbatim.  Decoding is
+:func:`np.frombuffer` per frame: no parsing, no copy — the resulting
+``NodeSet`` views alias the payload buffer (the sorted-end frame is
+shipped too, so the receiver never re-sorts).
 
 JSON remains the compatibility default: :func:`decode_request` sniffs
 the payload (magic bytes → binary, else JSON) so a service endpoint
@@ -328,7 +328,7 @@ def _operand_header(
 ) -> dict[str, Any]:
     """One operand's field table; appends its arrays to ``frames``."""
     fields = {}
-    for name, array in arena.shard_fields().items():
+    for name, array in arena.wire_fields().items():
         fields[name] = len(frames)
         frames.append(array)
     node_set = arena.node_set
@@ -375,7 +375,7 @@ def _operand_from_header(
                 f"'starts' has {length}"
             )
     name, fingerprint = _operand_labels(meta)
-    arena = OperandArena.from_shard_views(
+    arena = OperandArena.from_wire_views(
         views, name=name, fingerprint=fingerprint
     )
     return arena.node_set

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import struct
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -33,14 +34,20 @@ ENDS_PER_PAGE = PAGE_SIZE // 8
 
 def write_node_set(path: str | Path, node_set: NodeSet) -> None:
     """Serialize ``node_set`` to ``path`` (see module docstring)."""
+    write_elements(path, node_set.elements)
+
+
+def write_elements(path: str | Path, elements: Sequence[Element]) -> None:
+    """Serialize start-sorted ``elements`` to ``path``, levels and tags
+    as given (see module docstring)."""
     tags: list[str] = []
     tag_ids: dict[str, int] = {}
-    for element in node_set:
+    for element in elements:
         if element.tag not in tag_ids:
             tag_ids[element.tag] = len(tags)
             tags.append(element.tag)
     tag_blob = "\n".join(tags).encode()
-    count = len(node_set)
+    count = len(elements)
     record_pages = -(-count // RECORDS_PER_PAGE) if count else 0
     end_pages = -(-count // ENDS_PER_PAGE) if count else 0
     header = _HEADER.pack(_MAGIC, _VERSION, count, record_pages, end_pages)
@@ -53,7 +60,7 @@ def write_node_set(path: str | Path, node_set: NodeSet) -> None:
     with PageFile(path, create=True) as file:
         file.write_page(0, header + tag_blob)
         for page_index in range(record_pages):
-            chunk = node_set.elements[
+            chunk = elements[
                 page_index * RECORDS_PER_PAGE : (page_index + 1)
                 * RECORDS_PER_PAGE
             ]
@@ -62,7 +69,9 @@ def write_node_set(path: str | Path, node_set: NodeSet) -> None:
                 for e in chunk
             )
             file.write_page(1 + page_index, payload)
-        sorted_ends = np.sort(node_set.ends) if count else np.zeros(0)
+        sorted_ends = np.sort(
+            np.fromiter((e.end for e in elements), np.int64, count)
+        )
         for page_index in range(end_pages):
             chunk = sorted_ends[
                 page_index * ENDS_PER_PAGE : (page_index + 1) * ENDS_PER_PAGE

@@ -25,9 +25,9 @@ serving never builds them.
 Batches apply whole or not at all.  ``ingest`` rejects a mutation whose
 element or replacement lies outside the workspace before the batch is
 queued; a batch that fails while applying (a delete of a non-live
-element, a duplicate insert) is undone, ``applied_seq`` moves past it
-and the :class:`~repro.core.errors.StreamError` names its sequence
-number.
+element, a duplicate insert) is undone, ``applied_seq`` moves past it,
+``stats()["rejected_batches"]`` counts it and the
+:class:`~repro.core.errors.StreamError` names its sequence number.
 
 Writes are *fingerprint bumps*: summary and index caches key on the
 node-set content fingerprint, so a mutation gives the tag a new
@@ -256,6 +256,7 @@ class LiveWorkspace:
         self._applied_seq = 0
         self.applied_batches = 0
         self.applied_mutations = 0
+        self.rejected_batches = 0
         self.invalidated_entries = 0
         self.estimates_served = 0
         lo, hi = self.workspace
@@ -413,9 +414,10 @@ class LiveWorkspace:
     def apply_pending(self) -> int:
         """Apply every enqueued batch; returns how many were applied.
 
-        A batch that fails is undone and dropped: ``applied_seq`` moves
-        past it, later batches stay queued, and the ``StreamError``
-        names its sequence number.
+        A batch that fails is undone, dropped and counted in
+        ``rejected_batches``: ``applied_seq`` moves past it, later
+        batches stay queued, and the ``StreamError`` names its sequence
+        number.
         """
         with self._lock:
             applied = 0
@@ -425,6 +427,7 @@ class LiveWorkspace:
                     self._apply_batch(mutations)
                 except StreamError as error:
                     self._applied_seq = seq
+                    self.rejected_batches += 1
                     raise StreamError(
                         f"batch {seq} rejected, none of its mutations "
                         f"applied: {error}"
@@ -522,6 +525,21 @@ class LiveWorkspace:
             )
             return sets, self._applied_seq
 
+    def elements(self) -> list[Element]:
+        """Every live element as stored, tags and levels kept.
+
+        Sorted by ``(start, end)``; reads the per-tag element lists, so
+        it materializes no node set.
+        """
+        with self._lock:
+            elements = [
+                element
+                for state in self._tags.values()
+                for element in state.elements
+            ]
+        elements.sort(key=lambda e: (e.start, e.end))
+        return elements
+
     def rebuild_node_set(self, tag: str) -> NodeSet:
         """From-scratch, fully validated build over the live elements.
 
@@ -590,6 +608,7 @@ class LiveWorkspace:
                 "pending_batches": len(self._pending),
                 "applied_batches": self.applied_batches,
                 "applied_mutations": self.applied_mutations,
+                "rejected_batches": self.rejected_batches,
                 "invalidated_entries": self.invalidated_entries,
                 "estimates_served": self.estimates_served,
             }

@@ -36,10 +36,9 @@ from typing import Callable, Iterable
 
 from repro.core.element import Element
 from repro.core.errors import StreamError
-from repro.core.nodeset import NodeSet
 from repro.core.workspace import Workspace
 from repro.perf.cache import SummaryCache
-from repro.storage.element_file import DiskNodeSet, write_node_set
+from repro.storage.element_file import DiskNodeSet, write_elements
 from repro.stream.live import (
     LiveWorkspace,
     _with_caches,
@@ -201,13 +200,7 @@ class CatalogStore:
                     return
                 raise StreamError(f"unknown tenant {tenant!r}")
             live.apply_pending()  # never spill an un-applied backlog
-            elements: list[Element] = []
-            for tag in live.tags():
-                elements.extend(live.node_set(tag).elements)
-            elements.sort(key=lambda e: (e.start, e.end))
-            write_node_set(
-                self._pages_path(tenant), NodeSet(tuple(elements))
-            )
+            write_elements(self._pages_path(tenant), live.elements())
             stats = live.stats()
             meta = {
                 "tenant": tenant,
@@ -220,6 +213,7 @@ class CatalogStore:
                 "applied_seq": live.applied_seq,
                 "applied_batches": stats["applied_batches"],
                 "applied_mutations": stats["applied_mutations"],
+                "rejected_batches": stats["rejected_batches"],
                 "invalidated_entries": stats["invalidated_entries"],
                 "estimates_served": stats["estimates_served"],
             }
@@ -236,12 +230,12 @@ class CatalogStore:
             self._pages_path(tenant),
             buffer_capacity=self.buffer_capacity,
         ) as disk:
-            node_set = disk.to_node_set()
+            elements = list(disk)
             hit_ratio = disk.pool.stats.hit_ratio
         lo, hi = meta["workspace"]
         live = LiveWorkspace(
             Workspace(lo, hi),
-            elements=node_set.elements,
+            elements=elements,
             num_buckets=meta["num_buckets"],
             num_cells=meta["num_cells"],
             reservoir_capacity=meta["reservoir_capacity"],
@@ -254,6 +248,7 @@ class CatalogStore:
         live._applied_seq = meta["applied_seq"]
         live.applied_batches = meta["applied_batches"]
         live.applied_mutations = meta["applied_mutations"]
+        live.rejected_batches = meta["rejected_batches"]
         live.invalidated_entries = meta["invalidated_entries"]
         live.estimates_served = meta["estimates_served"]
         del self._spilled[tenant]
@@ -280,6 +275,7 @@ class CatalogStore:
                     **self._stats[tenant],
                     "applied_seq": meta["applied_seq"],
                     "applied_mutations": meta["applied_mutations"],
+                    "rejected_batches": meta["rejected_batches"],
                     "invalidated_entries": meta["invalidated_entries"],
                     "estimates_served": meta["estimates_served"],
                 }

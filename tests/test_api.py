@@ -6,6 +6,7 @@ name; aliases and case variants resolve; errors carry a nearest-match
 hint; ``build_catalog`` accepts datasets and plain-int budgets.
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -184,6 +185,27 @@ class TestPublicSurface:
         )
         assert match is not None
         assert match.group(1) == repro.__version__
+
+
+class TestOneProcess:
+    def test_no_module_imports_multiprocessing(self):
+        """The package runs in one process: no module under src/repro
+        imports multiprocessing (shared memory, pools, forks)."""
+        package = Path(repro.__file__).resolve().parent
+        importers = []
+        for path in sorted(package.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                if any(
+                    name.split(".")[0] == "multiprocessing" for name in names
+                ):
+                    importers.append(path.relative_to(package).as_posix())
+        assert importers == []
 
 
 class TestModuleResolution:

@@ -111,81 +111,6 @@ class TestStatisticsCatalog:
             ).value
             assert via_catalog == pytest.approx(directly)
 
-    @pytest.mark.parametrize("num_shards", [2, 3, 7])
-    def test_sharded_build_matches_unsharded(self, dataset, num_shards):
-        """K per-shard builds merged == the one-pass build.
-
-        Bucket counts are integer sums and must match bit-exactly;
-        per-bucket total_length is the same float sum re-bracketed at
-        shard seams, so it gets the merge layer's 1e-12 contract.
-        """
-        budget = SpaceBudget(400)
-        plain = StatisticsCatalog(dataset.tree, budget)
-        sharded = StatisticsCatalog(
-            dataset.tree, budget, num_shards=num_shards
-        )
-        assert sharded.num_shards == num_shards
-        assert sharded.tags == plain.tags
-        for tag in plain.tags:
-            theirs, mine = plain.entry(tag), sharded.entry(tag)
-            assert mine.cardinality == theirs.cardinality
-            for role in ("ancestor_histogram", "descendant_histogram"):
-                a, b = getattr(theirs, role), getattr(mine, role)
-                assert len(a) == len(b)
-                for ref, got in zip(a.buckets, b.buckets):
-                    assert (got.wss, got.wse) == (ref.wss, ref.wse)
-                    assert got.n == ref.n
-                    assert got.total_length == pytest.approx(
-                        ref.total_length, rel=1e-12, abs=1e-12
-                    )
-
-    def test_sharded_estimates_track_unsharded(self, dataset):
-        """Plan-time answers from a sharded catalog agree to rounding."""
-        plain = StatisticsCatalog(dataset.tree, SpaceBudget(400))
-        sharded = StatisticsCatalog(
-            dataset.tree, SpaceBudget(400), num_shards=4
-        )
-        for anc, desc in [("item", "name"), ("desp", "text")]:
-            assert sharded.estimate_join(anc, desc).value == pytest.approx(
-                plain.estimate_join(anc, desc).value, rel=1e-9
-            )
-
-    def test_sharded_more_shards_than_elements(self, dataset):
-        """Tags with cardinality below K still build (empty shards skip)."""
-        tiny = min(
-            dataset.tree.tags(),
-            key=lambda tag: len(dataset.node_set(tag)),
-        )
-        sharded = StatisticsCatalog(
-            dataset.tree,
-            SpaceBudget(400),
-            tags=[tiny],
-            num_shards=len(dataset.node_set(tiny)) + 3,
-        )
-        plain = StatisticsCatalog(dataset.tree, SpaceBudget(400), tags=[tiny])
-        mine = sharded.entry(tiny).ancestor_histogram
-        theirs = plain.entry(tiny).ancestor_histogram
-        assert [b.n for b in mine.buckets] == [b.n for b in theirs.buckets]
-
-    def test_invalid_num_shards(self, dataset):
-        with pytest.raises(EstimationError):
-            StatisticsCatalog(dataset.tree, SpaceBudget(400), num_shards=0)
-
-    def test_sample_mode_ignores_sharding(self, dataset):
-        """One global draw keeps the sample uniform across shard counts."""
-        plain = StatisticsCatalog(
-            dataset.tree, SpaceBudget(400), method="sample", seed=7
-        )
-        sharded = StatisticsCatalog(
-            dataset.tree,
-            SpaceBudget(400),
-            method="sample",
-            seed=7,
-            num_shards=3,
-        )
-        for tag in plain.tags:
-            assert sharded.entry(tag).sample == plain.entry(tag).sample
-
     def test_sample_catalog_unbiased(self, dataset):
         a = dataset.node_set("desp")
         d = dataset.node_set("text")

@@ -208,7 +208,7 @@ class TestOperandArena:
         assert arena.sorted_ends is a.sorted_ends
         assert arena.fingerprint == a.fingerprint
         assert len(arena) == len(a)
-        assert tuple(arena.shard_fields()) == OPERAND_FIELDS
+        assert tuple(arena.wire_fields()) == OPERAND_FIELDS
 
     def test_object_memo_without_cache(self, operands):
         a, __ = operands
@@ -242,11 +242,11 @@ class TestOperandArena:
         # reference mode recomputes: same values, distinct array object
         assert ref_keys is not cached_keys
 
-    def test_shard_roundtrip(self, operands):
+    def test_wire_roundtrip(self, operands):
         a, __ = operands
         arena = operand_arena(a)
-        rebuilt = OperandArena.from_shard_views(
-            arena.shard_fields(), name=a.name, fingerprint=a.fingerprint
+        rebuilt = OperandArena.from_wire_views(
+            arena.wire_fields(), name=a.name, fingerprint=a.fingerprint
         )
         assert np.array_equal(rebuilt.starts, a.starts)
         assert np.array_equal(rebuilt.sorted_ends, a.sorted_ends)

@@ -476,36 +476,3 @@ class TestCachedEstimatorParity:
         )
         assert cached == plain
         assert cache.hits > 0
-
-
-class TestParallelHarness:
-    def test_workers_identical_to_serial(self, dblp):
-        queries = ALL_WORKLOADS["dblp"]
-        methods = paper_methods(SpaceBudget(400))
-        serial = evaluate(dblp, queries, methods, runs=2, seed=11)
-        parallel = evaluate(
-            dblp, queries, methods, runs=2, seed=11, workers=2
-        )
-        assert parallel == serial
-
-    def test_workers_with_cache_identical(self, dblp):
-        queries = ALL_WORKLOADS["dblp"]
-        methods = paper_methods(SpaceBudget(400))
-        serial = evaluate(dblp, queries, methods, runs=2, seed=11)
-        parallel = evaluate(
-            dblp,
-            queries,
-            methods,
-            runs=2,
-            seed=11,
-            workers=2,
-            cache=SummaryCache(),
-        )
-        assert parallel == serial
-
-    def test_single_worker_takes_serial_path(self, dblp):
-        queries = ALL_WORKLOADS["dblp"][:2]
-        methods = paper_methods(SpaceBudget(400))
-        assert evaluate(
-            dblp, queries, methods, runs=1, seed=3, workers=1
-        ) == evaluate(dblp, queries, methods, runs=1, seed=3)

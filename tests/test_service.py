@@ -240,6 +240,40 @@ class TestRequestQueue:
         assert len(queue) == 0
 
 
+def _futures(figure1_tree, n):
+    now = time.monotonic()
+    return [
+        ServiceFuture(
+            _request(figure1_tree, config={"num_samples": 10, "seed": i}),
+            now,
+        )
+        for i in range(n)
+    ]
+
+
+class TestPutMany:
+    def test_admits_whole_burst_under_capacity(self, figure1_tree):
+        queue = RequestQueue(maxsize=16)
+        futures = _futures(figure1_tree, 10)
+        assert queue.put_many(futures) == 10
+        assert len(queue) == 10
+        # The burst shares one signature: it drains as one batch.
+        assert len(queue.take_batch(max_batch=32, timeout=0.0)) == 10
+
+    def test_admits_prefix_at_capacity(self, figure1_tree):
+        queue = RequestQueue(maxsize=4)
+        futures = _futures(figure1_tree, 10)
+        assert queue.put_many(futures) == 4
+        assert len(queue) == 4
+        queue.take_batch(max_batch=2, timeout=0.0)
+        assert queue.put_many(futures[4:]) == 2
+
+    def test_closed_queue_admits_nothing(self, figure1_tree):
+        queue = RequestQueue(maxsize=4)
+        queue.close()
+        assert queue.put_many(_futures(figure1_tree, 3)) == 0
+
+
 class TestSequentialParity:
     @pytest.mark.parametrize("workers", [0, 2])
     def test_map_matches_sequential_estimates(self, figure1_tree, workers):

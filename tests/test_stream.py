@@ -9,6 +9,9 @@ multi-tenant :class:`CatalogStore` with LRU disk residency.
 
 from __future__ import annotations
 
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -289,6 +292,7 @@ class TestBatchAtomicity:
         assert live.staleness_s() == 0.0
         assert (live.applied_batches, live.applied_mutations) == (0, 0)
         assert live.stats()["tags"]["a"]["deletes"] == 0
+        assert live.stats()["rejected_batches"] == 1
         assert live.apply([Mutation("delete", Element("a", 11, 20))]) == 2
         assert _population(live) == {"a": [(1, 10)]}
 
@@ -798,6 +802,27 @@ class TestServiceLiveWiring:
         finally:
             service.close()
 
+    def test_rejected_batch_does_not_fail_a_stale_read(self):
+        """A writer's rejected batch is skipped and counted, never
+        raised into the read whose staleness bound caught it up."""
+        clock = FakeClock()
+        service, live = self._service(clock=clock)
+        try:
+            live.ingest([Mutation("delete", Element("a", 30, 40))])
+            live.ingest([Mutation("delete", Element("a", 1, 9))])
+            clock.now = 5.0
+            response = service.estimate(
+                "a", "d", "PL", num_buckets=8, max_staleness_s=1.0
+            )
+            assert response.status == "ok"
+            assert (response.applied_seq, response.staleness_s) == (2, 0.0)
+            assert live.stats()["rejected_batches"] == 1
+            # The valid batch ingested after the bad one was applied.
+            assert live.size("a") == 39
+            assert live.applied_batches == 1
+        finally:
+            service.close()
+
     def test_negative_max_staleness_rejected(self):
         service, __ = self._service()
         try:
@@ -947,6 +972,38 @@ class TestCatalogStore:
         finally:
             service.close()
 
+    def test_spill_keeps_levels_and_counters(self, tmp_path, monkeypatch):
+        """A spill writes the stored elements (levels kept) and every
+        counter, and builds no node set."""
+        store = CatalogStore(tmp_path, capacity=1)
+        elements = [Element("a", 1, 9, level=1), Element("d", 2, 5, level=2)]
+        alpha = store.create("alpha", WORKSPACE, elements=elements)
+        alpha.ingest([Mutation("delete", Element("a", 30, 40))])
+        with pytest.raises(StreamError, match="batch 1 rejected"):
+            alpha.apply_pending()
+        built = []
+        init, from_arrays = NodeSet.__init__, NodeSet.from_arrays.__func__
+
+        def spy_init(self, *args, **kwargs):
+            built.append("init")
+            init(self, *args, **kwargs)
+
+        def spy_from_arrays(cls, *args, **kwargs):
+            built.append("from_arrays")
+            return from_arrays(cls, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(NodeSet, "__init__", spy_init)
+            patch.setattr(NodeSet, "from_arrays", classmethod(spy_from_arrays))
+            store.evict("alpha")
+        assert built == []
+        assert store.stats()["tenants"]["alpha"]["rejected_batches"] == 1
+        reloaded = store.get("alpha")
+        assert reloaded.rebuild_node_set("d").elements == (elements[1],)
+        assert reloaded.rebuild_node_set("a").elements == (elements[0],)
+        assert reloaded.stats()["rejected_batches"] == 1
+        assert reloaded.applied_seq == 1
+
     def test_touch_order_controls_victim(self, tmp_path):
         store = CatalogStore(tmp_path, capacity=2)
         store.create("alpha", WORKSPACE, elements=_pool())
@@ -955,3 +1012,37 @@ class TestCatalogStore:
         store.create("gamma", WORKSPACE, elements=_pool(offset=800))
         assert sorted(store.resident_tenants()) == ["alpha", "gamma"]
         assert "beta" in store  # spilled, not lost
+
+
+class TestServiceLifecycle:
+    """Many service start/stop cycles over a spilling store leak
+    nothing: threads, attached caches, file handles or spill files."""
+
+    def test_hundred_cycles_leak_nothing(self, tmp_path):
+        store = CatalogStore(tmp_path, capacity=1)
+        store.create("alpha", WORKSPACE, elements=_pool())
+        store.create("beta", WORKSPACE, elements=_pool(offset=500))
+        fd_dir = "/proc/self/fd"
+        fds = len(os.listdir(fd_dir)) if os.path.isdir(fd_dir) else None
+        threads = threading.active_count()
+        for __ in range(100):
+            with EstimationService(workers=2, live=store) as service:
+                for tenant in ("alpha", "beta"):
+                    response = service.estimate(
+                        "a", "d", "PL", tenant=tenant, num_buckets=8
+                    )
+                    assert response.status == "ok"
+        assert threading.active_count() <= threads
+        assert store._caches == ()
+        assert all(
+            store.get(tenant)._caches == ()
+            for tenant in store.resident_tenants()
+        )
+        if fds is not None:
+            assert len(os.listdir(fd_dir)) <= fds
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "alpha.meta.json",
+            "alpha.rpro",
+            "beta.meta.json",
+            "beta.rpro",
+        ]
