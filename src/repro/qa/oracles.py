@@ -55,7 +55,9 @@ The oracles cover the layers named in the ROADMAP's production story:
 * ``wire-fuzz`` — seeded structural mutations of the case's binary and
   JSON request payloads (truncation, frame dtype/shape/offset lies,
   dropped header keys, out-of-range field indices, non-integer code
-  lists) are rejected with :class:`~repro.core.errors.ServiceError`.
+  lists, and code-list text JSON forbids: a leading zero or ``+``, an
+  empty field, a leading or trailing comma) are rejected with
+  :class:`~repro.core.errors.ServiceError`.
 """
 
 from __future__ import annotations
@@ -889,6 +891,33 @@ def _wire_mutations(
         (
             f"json {role}.{field} as {kind}",
             json_with(_set_key(("operands", role, field), lying)),
+        )
+    )
+
+    # Text-level lies in one code list of the compact document: number
+    # syntax JSON forbids, which a parsed document cannot carry.
+    role, field = pick(_ROLES), pick(("starts", "ends"))
+    codes = [str(code) for code in document["operands"][role][field] or [0]]
+    at = int(rng.integers(len(codes)))
+    head, code, tail = codes[:at], codes[at], codes[at + 1 :]
+    kind, lying = pick(
+        [
+            ("a leading zero", [*head, "0" + code, *tail]),
+            ("a trailing comma", [*codes, ""]),
+            ("a leading +", [*head, "+" + code, *tail]),
+            ("an empty field", [*head, code, "", code, *tail]),
+            ("a leading comma", ["", *codes]),
+        ]
+    )
+    marker = "wire-fuzz code list"
+    spliced = json.loads(text)
+    spliced["operands"][role][field] = marker
+    out.append(
+        (
+            f"json {role}.{field} text with {kind} (code {at})",
+            json.dumps(spliced, separators=(",", ":"))
+            .replace(json.dumps(marker), "[" + ",".join(lying) + "]")
+            .encode("utf-8"),
         )
     )
     out.append(("json top-level array", json.dumps([document]).encode()))

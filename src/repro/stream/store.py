@@ -199,7 +199,16 @@ class CatalogStore:
                 if tenant in self._spilled:
                     return
                 raise StreamError(f"unknown tenant {tenant!r}")
-            live.apply_pending()  # never spill an un-applied backlog
+            # Never spill an un-applied backlog.  A rejected batch is
+            # its writer's error, not the caller's whose create() or
+            # get() made room: apply_pending has already undone,
+            # skipped and counted it, so the drain goes on past it.
+            while True:
+                try:
+                    live.apply_pending()
+                except StreamError:
+                    continue
+                break
             write_elements(self._pages_path(tenant), live.elements())
             stats = live.stats()
             meta = {

@@ -1004,6 +1004,22 @@ class TestCatalogStore:
         assert reloaded.stats()["rejected_batches"] == 1
         assert reloaded.applied_seq == 1
 
+    def test_spill_drains_past_a_rejected_batch(self, tmp_path):
+        """A writer's rejected batch in one tenant neither fails another
+        tenant's create() nor keeps the store over capacity."""
+        store = CatalogStore(tmp_path, capacity=1)
+        alpha = store.create("alpha", WORKSPACE, elements=_pool())
+        alpha.ingest([Mutation("delete", Element("a", 30, 40))])  # not live
+        alpha.ingest([Mutation("insert", Element("a", 45, 46))])
+        store.create("beta", WORKSPACE, elements=_pool(offset=500))
+        assert store.resident_tenants() == ["beta"]
+        assert store.stats()["tenants"]["alpha"]["rejected_batches"] == 1
+        reloaded = store.get("alpha")
+        assert reloaded.pending_batches == 0
+        assert reloaded.applied_seq == 2 and reloaded.applied_batches == 1
+        assert reloaded.stats()["rejected_batches"] == 1
+        assert (45, 46) in _population(reloaded)["a"]
+
     def test_touch_order_controls_victim(self, tmp_path):
         store = CatalogStore(tmp_path, capacity=2)
         store.create("alpha", WORKSPACE, elements=_pool())

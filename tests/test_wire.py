@@ -17,13 +17,22 @@ Contracts pinned here:
   raise :class:`ServiceError` instead of crashing the worker, and so do
   structural lies — frame dtype/shape/offset, field indices, missing
   keys, non-integer JSON code lists — that would otherwise decode a
-  wrong view or escape as an untyped error.
+  wrong view or escape as an untyped error;
+* the JSON decoder's compact walk agrees with the plain ``json.loads``
+  + ``array("q")`` decoder on every payload of a seeded corpus: same
+  outcome, same ``ServiceError`` text, identical decoded fields.
+
+Every test here fails on a ``DeprecationWarning``, so a numpy release
+that deprecates a call on the decode path (``np.fromstring``'s text
+mode) fails the suite instead of warning on every request.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
+from array import array
 
 import numpy as np
 import pytest
@@ -37,6 +46,8 @@ from repro.qa.oracles import rewrite_wire_header
 from repro.service import wire
 from repro.service.engine import EstimationService
 from repro.service.request import EstimateRequest, EstimateResponse
+
+pytestmark = pytest.mark.filterwarnings("error::DeprecationWarning")
 
 
 @pytest.fixture
@@ -546,3 +557,301 @@ class TestServiceWire:
         )
         assert got.value == want.value
         assert got.details == want.details
+
+
+# ----------------------------------------------------------------------
+# The JSON decoder against its reference
+# ----------------------------------------------------------------------
+
+
+def _reference_json_decode(payload: bytes) -> EstimateRequest:
+    """The JSON request decoder the compact walk must agree with: the
+    whole payload through ``json.loads``, each code list through
+    ``array("q")``, and errors wrapped as :func:`wire.decode_request`
+    wraps them."""
+
+    def codes(values, field):
+        if not isinstance(values, list):
+            raise ServiceError(
+                f"operand {field} must be a list, got "
+                f"{type(values).__name__}"
+            )
+        try:
+            typed = array("q", values)
+        except (TypeError, OverflowError) as error:
+            raise ServiceError(
+                f"operand {field} must be a flat list of int64 codes: "
+                f"{error}"
+            ) from error
+        return np.frombuffer(typed, dtype=np.int64)
+
+    def decode():
+        document = wire._parse_json(payload, "request")
+        wire._expect_kind(document, "estimate_request")
+        operands = {}
+        for role in ("ancestors", "descendants"):
+            meta = document["operands"][role]
+            name, fingerprint = wire._operand_labels(meta)
+            operands[role] = NodeSet.from_arrays(
+                codes(meta["starts"], f"{role} starts"),
+                codes(meta["ends"], f"{role} ends"),
+                name=name,
+                fingerprint=fingerprint,
+            )
+        return wire._request_from_meta(
+            document["request"], operands["ancestors"], operands["descendants"]
+        )
+
+    try:
+        return decode()
+    except ServiceError:
+        raise
+    except wire._STRUCTURAL_ERRORS as error:
+        raise ServiceError(
+            f"malformed json request: {type(error).__name__}: {error}"
+        ) from error
+
+
+def _decode_outcome(decode, payload: bytes) -> str:
+    """What ``decode`` makes of ``payload``, as comparable text: the
+    error's type and message, or every decoded field.  An auto-minted
+    ``req-N`` id (the payload names none) reads ``req-N``."""
+    try:
+        request = decode(payload)
+    except Exception as error:
+        return f"{type(error).__name__}: {error}"
+    fields = {
+        role: (
+            operand.starts.dtype.str,
+            operand.starts.tolist(),
+            operand.ends.dtype.str,
+            operand.ends.tolist(),
+            operand._name,
+            operand.fingerprint,
+        )
+        for role, operand in (
+            ("ancestors", request.ancestors),
+            ("descendants", request.descendants),
+        )
+    }
+    request_id = request.request_id
+    if isinstance(request_id, str):
+        request_id = re.sub(r"^req-\d+$", "req-N", request_id)
+    fields.update(
+        method=request.method,
+        workspace=request.workspace,
+        config=request.config,
+        deadline_s=request.deadline_s,
+        max_staleness_s=request.max_staleness_s,
+        request_id=request_id,
+    )
+    # repr, not ==: a NaN a mutation writes into config equals itself
+    # only as text.
+    return "ok: " + repr(fields)
+
+
+def _json_decode(payload: bytes) -> EstimateRequest:
+    request, detected = wire.decode_request(payload)
+    assert detected == wire.FORMAT_JSON
+    return request
+
+
+#: Codes either side of every digit-count boundary the fast parse
+#: checks, and int64's own end.
+_BOUNDARY_CODES = [
+    0, 9, 10, 99, 100, 10**17 - 1, 10**17, 10**18 - 1, 10**18, 2**63 - 1
+]
+
+
+def _random_codes(rng, count: int) -> np.ndarray:
+    kind = int(rng.integers(5))
+    if kind == 0:
+        return rng.integers(0, 1000, count)
+    if kind == 1:
+        return rng.integers(0, 10**7, count)
+    if kind == 2:
+        return rng.choice(np.array(_BOUNDARY_CODES, dtype=np.int64), count)
+    if kind == 3:
+        return rng.integers(0, 2**63 - 1, count, dtype=np.int64)
+    return rng.integers(-1000, 1000, count)
+
+
+def _random_request(rng) -> EstimateRequest:
+    operands = []
+    for name in ("a", "d"):
+        count = int(rng.choice([0, 1, 2, 5, 40]))
+        operands.append(
+            NodeSet.from_arrays(
+                _random_codes(rng, count),
+                _random_codes(rng, count),
+                name=[name, None, "é", 'x"starts'][int(rng.integers(4))],
+            )
+        )
+    config = {"num_samples": int(rng.integers(1, 200)), "seed": 7}
+    if rng.random() < 0.3:
+        config["starts"] = [1, 2, 3]
+    return EstimateRequest(
+        ancestors=operands[0],
+        descendants=operands[1],
+        method="IM",
+        workspace=None if rng.random() < 0.2 else Workspace(0, 10**6),
+        config=config,
+        deadline_s=None if rng.random() < 0.5 else 0.25,
+        request_id=f"req-{int(rng.integers(100))}",
+    )
+
+
+#: What the byte-level mutations write: JSON structure, number syntax,
+#: whitespace and letters.
+_MUTATION_BYTES = b'0123456789,[]{}":\\ -+.eE' + b" \t\n\r" + b"aeflnrstux"
+
+
+def _mutated(rng, payload: bytes) -> bytes:
+    text = bytearray(payload)
+    for __ in range(int(rng.integers(1, 4))):
+        at = int(rng.integers(len(text) + 1))
+        byte = _MUTATION_BYTES[int(rng.integers(len(_MUTATION_BYTES)))]
+        edit = int(rng.integers(3)) if at < len(text) else 1
+        if edit == 0:
+            text[at] = byte
+        elif edit == 1:
+            text.insert(at, byte)
+        else:
+            del text[at]
+    return bytes(text)
+
+
+def _spaced(payload: bytes) -> bytes:
+    return json.dumps(json.loads(payload)).encode("utf-8")
+
+
+def _hostile_payloads() -> list[tuple[str, bytes]]:
+    """Named payloads for the cases a compact walk could get wrong."""
+    a = NodeSet.from_arrays([0, 2, 10], [20, 9, 19], name="a")
+    d = NodeSet.from_arrays([3, 11], [4, 12], name="d")
+    request = _request(a, d, workspace=Workspace(0, 20))
+    text = wire.encode_request(request, wire.FORMAT_JSON).decode()
+    starts = '"starts":[0,2,10]'
+    assert text.count(starts) == 1
+
+    def with_starts(replacement: str) -> bytes:
+        return text.replace(starts, replacement).encode()
+
+    cases = [
+        ("canonical", text.encode()),
+        ("spaced", _spaced(text.encode())),
+        ('key x"starts', with_starts('"x\\"starts":[5,6],' + starts)),
+        ("escaped starts key", with_starts('"st\\u0061rts":[0,2,10]')),
+        ("starts in config", wire.encode_request(
+            _request(a, d, config={"seed": 7, "starts": [5, 6]}),
+            wire.FORMAT_JSON,
+        )),
+        ("duplicate starts", with_starts('"starts":[7,8],' + starts)),
+        ("duplicate starts, first float",
+         with_starts('"starts":[1.5],' + starts)),
+        ("duplicate starts, last float",
+         with_starts(starts + ',"starts":[1.5]')),
+        ("duplicate operands", text.replace(
+            '{"kind"', '{"operands":[],"kind"', 1).encode()),
+        ("operands a list", text.replace(
+            '"operands":{', '"operands":[{', 1)[:-1].encode() + b"]}"),
+        ("starts a string", with_starts('"starts":"0,2,10"')),
+        ("starts null", with_starts('"starts":null')),
+        ("starts nested", with_starts('"starts":[[0],[2],[10]]')),
+        ("starts empty", with_starts('"starts":[]')),
+        ("-0", with_starts('"starts":[-0,2,10]')),
+        ("true", with_starts('"starts":[true,2,10]')),
+        ("NaN", with_starts('"starts":[NaN,2,10]')),
+        ("exponent", with_starts('"starts":[0,2,1e1]')),
+        ("space after [", with_starts('"starts":[ 0,2,10]')),
+        ("space before ]", with_starts('"starts":[0,2,10 ]')),
+        ("space after comma", with_starts('"starts":[0, 2,10]')),
+        ("leading zero, first", with_starts('"starts":[00,2,10]')),
+        ("leading zero, inner", with_starts('"starts":[0,02,10]')),
+        ("zero inner", with_starts('"starts":[5,0,10]')),
+        ("trailing comma", with_starts('"starts":[0,2,10,]')),
+        ("leading plus", with_starts('"starts":[+0,2,10]')),
+        ("empty field", with_starts('"starts":[0,,2,10]')),
+        ("leading comma", with_starts('"starts":[,0,2,10]')),
+        ("leading whitespace", b" " + text.encode()),
+        ("trailing newline", text.encode() + b"\n"),
+        ("extra data", text.encode() + b"x"),
+        ("UTF-8 BOM", b"\xef\xbb\xbf" + text.encode()),
+        ("raw UTF-8 name",
+         text.replace('"name":"a"', '"name":"é"').encode("utf-8")),
+    ]
+    for code in (
+        10**17, 10**18 - 1, 10**18, 2**63 - 1, 2**63,
+        9999999999999999999, 10**19, 99999999999999999999,
+    ):
+        cases.append(
+            (f"{len(str(code))}-digit code {code}",
+             with_starts(f'"starts":[0,{code},10]'))
+        )
+    for encoding in ("utf-16", "utf-16-le", "utf-16-be", "utf-32",
+                     "utf-32-le", "utf-32-be"):
+        cases.append((encoding, text.encode(encoding)))
+    return cases
+
+
+class TestJsonDecodeDifferential:
+    """The compact walk and its fast code-list parse change no outcome:
+    on every payload the decoder and the reference agree on the outcome,
+    the ``ServiceError`` text and every decoded field, and every error
+    is a ``ServiceError``."""
+
+    @staticmethod
+    def _corpus() -> list[tuple[str, bytes]]:
+        rng = np.random.default_rng(20030609)
+        hostile = _hostile_payloads()
+        corpus = list(hostile)
+        for index in range(40):
+            canonical = wire.encode_request(
+                _random_request(rng), wire.FORMAT_JSON
+            )
+            for form, payload in (
+                ("canonical", canonical),
+                ("spaced", _spaced(canonical)),
+            ):
+                corpus.append((f"request {index} {form}", payload))
+                for mutation in range(25):
+                    corpus.append(
+                        (
+                            f"request {index} {form} mutation {mutation}",
+                            _mutated(rng, payload),
+                        )
+                    )
+        # Every truncation of the small request, compact and spaced.
+        for label, payload in hostile[:2]:
+            corpus.extend(
+                (f"{label} truncated to {cut}", payload[:cut])
+                for cut in range(len(payload))
+            )
+        return corpus
+
+    def test_no_mismatch(self, monkeypatch):
+        fast = []
+        canonical_codes = wire._canonical_codes
+
+        def counted(body):
+            codes = canonical_codes(body)
+            if body:
+                fast.append(codes is not None)
+            return codes
+
+        monkeypatch.setattr(wire, "_canonical_codes", counted)
+        mismatches, untyped, accepted = [], [], 0
+        for label, payload in self._corpus():
+            want = _decode_outcome(_reference_json_decode, payload)
+            got = _decode_outcome(_json_decode, payload)
+            if got != want:
+                mismatches.append(f"{label}: {got!r} != {want!r}")
+            if not got.startswith(("ok: ", "ServiceError: ")):
+                untyped.append(f"{label}: {got!r}")
+            accepted += want.startswith("ok: ")
+        assert mismatches == [], "\n".join(mismatches[:5])
+        assert untyped == [], "\n".join(untyped[:5])
+        # The corpus reaches both paths with non-empty lists, and both
+        # outcomes.
+        assert fast.count(True) > 500 and fast.count(False) > 100
+        assert accepted > 100
