@@ -17,7 +17,7 @@ from repro.core.element import Element
 from repro.core.errors import ReproError
 from repro.core.nodeset import NodeSet
 from repro.core.workspace import Workspace
-from repro.estimators.pl_histogram import PLBucket, PLHistogram
+from repro.estimators.pl_histogram import PLHistogram
 
 _FORMAT_VERSION = 1
 
@@ -37,11 +37,8 @@ def _histogram_to_json(histogram: PLHistogram | None):
 def _histogram_from_json(payload) -> PLHistogram | None:
     if payload is None:
         return None
-    buckets = [
-        PLBucket(int(i), float(wss), float(wse), int(n), float(length))
-        for i, wss, wse, n, length in payload["buckets"]
-    ]
-    return PLHistogram(buckets, payload["role"])
+    __, wss, wse, n, length = zip(*payload["buckets"])
+    return PLHistogram(wss, wse, n, length, payload["role"])
 
 
 def _sample_to_json(sample: NodeSet | None):

@@ -29,6 +29,15 @@ boundaries at descendant-start quantiles — Section 4.1's remark that the
 uniform assumption "can be made approximately valid if ... bucket
 boundaries are carefully selected", realized.  Both operands always share
 one partitioning, as the paper requires.
+
+Array form: a :class:`PLHistogram` holds its statistics as per-bucket
+numpy arrays (``wss``/``wse``, ``n``, ``total_length``).  Both builds
+compute the bucket edges once (equal-width edges bit for bit those of
+the ``Workspace.buckets`` tiling) and no :class:`PLBucket` exists until
+something reads ``.buckets``.  The float work keeps the per-bucket
+loop's order — ``np.add.at`` adds clipped lengths in element order and
+Equation 1 adds its bucket terms left to right — so every estimate, MRE
+and detail equals the per-bucket object form bit for bit.
 """
 
 from __future__ import annotations
@@ -39,11 +48,12 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from repro import perf
 from repro.core.budget import SpaceBudget
 from repro.obs import runtime as _obs
-from repro.core.errors import EstimationError
+from repro.core.errors import EstimationError, ReproError
 from repro.core.nodeset import NodeSet
 from repro.core.workspace import Bucket, Workspace
 from repro.estimators.base import Estimate, Estimator
@@ -76,6 +86,26 @@ def equi_depth_edges(
     return [float(v) for v in unique]
 
 
+def _edge_array(
+    workspace: Workspace, num_buckets: int, edges: list[float] | None
+) -> np.ndarray:
+    """The ``edges`` given, or the ``num_buckets + 1`` equal-width ones.
+
+    Equal-width edge ``i`` is ``lo + i * (width / num_buckets)``, the
+    expression :meth:`Workspace.buckets` evaluates per bucket, so the
+    edges equal its ``wss`` values and last ``wse`` bit for bit without
+    a :class:`Bucket` per bucket; bad arguments raise as it does.
+    """
+    if edges is not None:
+        return np.asarray(edges, dtype=np.float64)
+    workspace.validate()
+    if num_buckets < 1:
+        raise ReproError(f"bucket count must be >= 1, got {num_buckets}")
+    return workspace.lo + np.arange(num_buckets + 1) * (
+        workspace.width / num_buckets
+    )
+
+
 def _buckets_from_edges(edges: list[float]) -> list[Bucket]:
     return [
         Bucket(i, edges[i], edges[i + 1]) for i in range(len(edges) - 1)
@@ -86,6 +116,16 @@ def _locate(edges: list[float], position: float) -> int:
     """Index of the bucket containing ``position`` (edges half-open)."""
     index = bisect_right(edges, position) - 1
     return min(max(index, 0), len(edges) - 2)
+
+
+def _bucket_indices(edges: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """:func:`_locate` of every position, in one search.
+
+    Over the interior edges, a position's right-side rank is the number
+    of bucket boundaries past the first that lie at or below it: the
+    located index, already clamped to ``[0, len(edges) - 2]``.
+    """
+    return edges[1:-1].searchsorted(positions, side="right")
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,16 +149,52 @@ class PLBucket:
 
 
 class PLHistogram:
-    """A built PL histogram for one node set in one join role."""
+    """A built PL histogram for one node set in one join role.
+
+    The Table 1 statistics are held per bucket in four aligned arrays:
+    ``wss``/``wse`` (float64 bucket bounds), ``n`` (int64 counts) and
+    ``total_length`` (float64 summed lengths, all zero in the descendant
+    role).  ``buckets`` derives the per-bucket :class:`PLBucket` view on
+    first access and keeps it.
+    """
+
+    __slots__ = ("wss", "wse", "n", "total_length", "role", "_buckets")
 
     def __init__(
-        self, buckets: list[PLBucket], role: Literal["ancestor", "descendant"]
+        self,
+        wss: ArrayLike,
+        wse: ArrayLike,
+        n: ArrayLike,
+        total_length: ArrayLike,
+        role: Literal["ancestor", "descendant"],
     ) -> None:
-        self.buckets = buckets
+        self.wss = np.asarray(wss, dtype=np.float64)
+        self.wse = np.asarray(wse, dtype=np.float64)
+        self.n = np.asarray(n, dtype=np.int64)
+        self.total_length = np.asarray(total_length, dtype=np.float64)
         self.role = role
+        self._buckets: list[PLBucket] | None = None
 
     def __len__(self) -> int:
-        return len(self.buckets)
+        return len(self.n)
+
+    @property
+    def buckets(self) -> list[PLBucket]:
+        """The statistics as one :class:`PLBucket` per bucket."""
+        buckets = self._buckets
+        if buckets is None:
+            buckets = self._buckets = [
+                PLBucket(i, wss, wse, n, length)
+                for i, (wss, wse, n, length) in enumerate(
+                    zip(
+                        self.wss.tolist(),
+                        self.wse.tolist(),
+                        self.n.tolist(),
+                        self.total_length.tolist(),
+                    )
+                )
+            ]
+        return buckets
 
     @classmethod
     def build_ancestor_reference(
@@ -149,11 +225,13 @@ class PLHistogram:
                     )
                 else:
                     lengths[i] += element.length
-        buckets = [
-            PLBucket(i, bounds[i].wss, bounds[i].wse, counts[i], lengths[i])
-            for i in range(count)
-        ]
-        return cls(buckets, "ancestor")
+        return cls(
+            [b.wss for b in bounds],
+            [b.wse for b in bounds],
+            counts,
+            lengths,
+            "ancestor",
+        )
 
     @classmethod
     def build_ancestor(
@@ -180,35 +258,24 @@ class PLHistogram:
             return cls.build_ancestor_reference(
                 node_set, workspace, num_buckets, length_mode, edges
             )
-        if edges is None:
-            bounds = workspace.buckets(num_buckets)
-            edges = [b.wss for b in bounds] + [bounds[-1].wse]
-        else:
-            bounds = _buckets_from_edges(edges)
-        count = len(bounds)
-        edge_array = np.asarray(edges, dtype=np.float64)
+        edge_array = _edge_array(workspace, num_buckets, edges)
+        count = len(edge_array) - 1
         counts = np.zeros(count, dtype=np.int64)
         lengths = np.zeros(count, dtype=np.float64)
         if len(node_set):
             starts = node_set.starts
             ends = node_set.ends
-            first = np.clip(
-                np.searchsorted(edge_array, starts, side="right") - 1,
-                0,
-                count - 1,
-            )
-            last = np.clip(
-                np.searchsorted(edge_array, ends, side="right") - 1,
-                0,
-                count - 1,
-            )
+            first = _bucket_indices(edge_array, starts)
+            last = _bucket_indices(edge_array, ends)
             spans = last - first + 1
             element_of = np.repeat(np.arange(len(node_set)), spans)
             offsets = np.arange(len(element_of)) - np.repeat(
                 np.cumsum(spans) - spans, spans
             )
             bucket_of = first[element_of] + offsets
-            counts = np.bincount(bucket_of, minlength=count).astype(np.int64)
+            counts = np.bincount(bucket_of, minlength=count).astype(
+                np.int64, copy=False
+            )
             if length_mode == "clipped":
                 contributions = np.minimum(
                     ends[element_of], edge_array[bucket_of + 1]
@@ -218,17 +285,9 @@ class PLHistogram:
                     np.float64
                 )
             np.add.at(lengths, bucket_of, contributions)
-        buckets = [
-            PLBucket(
-                i,
-                bounds[i].wss,
-                bounds[i].wse,
-                int(counts[i]),
-                float(lengths[i]),
-            )
-            for i in range(count)
-        ]
-        return cls(buckets, "ancestor")
+        return cls(
+            edge_array[:-1], edge_array[1:], counts, lengths, "ancestor"
+        )
 
     @classmethod
     def build_descendant(
@@ -238,19 +297,24 @@ class PLHistogram:
         num_buckets: int,
         edges: list[float] | None = None,
     ) -> "PLHistogram":
-        """Histogram of ``node_set`` playing the descendant (point) role."""
-        if edges is None:
-            bounds = workspace.buckets(num_buckets)
-            edge_array = np.array([b.wss for b in bounds] + [bounds[-1].wse])
-        else:
-            bounds = _buckets_from_edges(edges)
-            edge_array = np.array(edges)
-        counts, __ = np.histogram(node_set.starts, bins=edge_array)
-        buckets = [
-            PLBucket(i, bounds[i].wss, bounds[i].wse, int(counts[i]))
-            for i in range(len(bounds))
-        ]
-        return cls(buckets, "descendant")
+        """Histogram of ``node_set`` playing the descendant (point) role.
+
+        Counts are ``np.histogram``'s over the bucket edges, taken the
+        way it takes them, by an inclusive ``searchsorted`` (the last
+        bucket also holds a start equal to its right edge), but straight
+        on the node set's starts, which are already sorted.
+        """
+        edge_array = _edge_array(workspace, num_buckets, edges)
+        starts = node_set.starts
+        below = np.searchsorted(starts, edge_array, side="left")
+        below[-1] = np.searchsorted(starts, edge_array[-1], side="right")
+        return cls(
+            edge_array[:-1],
+            edge_array[1:],
+            np.diff(below),
+            np.zeros(len(below) - 1),
+            "descendant",
+        )
 
 
 def _edges_key(edges: list[float] | None) -> tuple[float, ...] | None:
@@ -403,16 +467,24 @@ class PLHistogramEstimator(Estimator):
         cov_weight = 0
         cov_sum = 0.0
         worst_mre = 0.0
-        for bucket_a, bucket_d in zip(hist_a.buckets, hist_d.buckets):
-            if bucket_a.n == 0:
+        # Left to right, one bucket at a time, the order of the tests'
+        # per-bucket reference: builtin sum (compensated since 3.12),
+        # np.sum (pairwise) and math.fsum each round the totals
+        # differently.
+        for count, length, wss, wse, n_d in zip(
+            hist_a.n.tolist(),
+            hist_a.total_length.tolist(),
+            hist_a.wss.tolist(),
+            hist_a.wse.tolist(),
+            hist_d.n.tolist(),
+        ):
+            if count == 0:
                 continue
-            cov = cov_value(
-                bucket_a.average_length, bucket_d.n, bucket_a.width
-            )
-            total += bucket_a.n * cov
-            cov_sum += cov * bucket_a.n
-            cov_weight += bucket_a.n
-            if bucket_d.n:
+            cov = cov_value(length / count, n_d, wse - wss)
+            total += count * cov
+            cov_sum += cov * count
+            cov_weight += count
+            if n_d:
                 worst_mre = max(worst_mre, maximum_relative_error(cov))
         average_cov = cov_sum / cov_weight if cov_weight else 0.0
         return Estimate(

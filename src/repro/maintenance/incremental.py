@@ -13,11 +13,7 @@ from __future__ import annotations
 from repro.core.element import Element
 from repro.core.errors import EstimationError
 from repro.core.workspace import Workspace
-from repro.estimators.pl_histogram import (
-    LengthMode,
-    PLBucket,
-    PLHistogram,
-)
+from repro.estimators.pl_histogram import LengthMode, PLHistogram
 
 
 class IncrementalPLHistogram:
@@ -102,29 +98,25 @@ class IncrementalPLHistogram:
         """
         self._apply(element, -1)
 
+    def _histogram(
+        self, counts: list[int], lengths: list[float], role: str
+    ) -> PLHistogram:
+        return PLHistogram(
+            [b.wss for b in self._bounds],
+            [b.wse for b in self._bounds],
+            counts,
+            lengths,
+            role,
+        )
+
     def ancestor_histogram(self) -> PLHistogram:
         """The current statistics in the ancestor (interval) role."""
-        buckets = [
-            PLBucket(
-                i,
-                self._bounds[i].wss,
-                self._bounds[i].wse,
-                self._anc_counts[i],
-                self._anc_lengths[i],
-            )
-            for i in range(self.num_buckets)
-        ]
-        return PLHistogram(buckets, "ancestor")
+        return self._histogram(
+            self._anc_counts, self._anc_lengths, "ancestor"
+        )
 
     def descendant_histogram(self) -> PLHistogram:
         """The current statistics in the descendant (point) role."""
-        buckets = [
-            PLBucket(
-                i,
-                self._bounds[i].wss,
-                self._bounds[i].wse,
-                self._desc_counts[i],
-            )
-            for i in range(self.num_buckets)
-        ]
-        return PLHistogram(buckets, "descendant")
+        return self._histogram(
+            self._desc_counts, [0.0] * self.num_buckets, "descendant"
+        )

@@ -217,15 +217,20 @@ def check_estimator_contract(case: Case) -> None:
 
 
 def check_summary_geometry(case: Case) -> None:
-    """``bucket_of`` agrees with the ``buckets()`` tiling bit-for-bit.
+    """``bucket_of`` and PL's edges agree with the ``buckets()`` tiling.
 
     The histogram estimators' correctness rests on one geometric fact:
     the ``count`` equal-width buckets tile ``[lo, hi]`` exactly and
     ``bucket_of(p)`` returns the unique tile containing ``p``.  Checking
     the two public APIs against each other catches off-by-one bucket
     boundary bugs that the value-level oracles cannot see (a consistent
-    shift hits the cached and uncached paths identically).
+    shift hits the cached and uncached paths identically).  A built PL
+    histogram computes its edges without ``buckets()``, so its
+    ``wss``/``wse`` must equal that tiling exactly, and its descendant
+    counts a ``bucket_of`` tally of the descendant starts.
     """
+    from repro.estimators.pl_histogram import PLHistogram
+
     w = case.workspace
     positions = sorted(
         {
@@ -275,6 +280,29 @@ def check_summary_geometry(case: Case) -> None:
                     f"bucket_of({p}, {count}) = {index} but bucket "
                     f"{index} is [{bucket.wss}, {bucket.wse})",
                 )
+        tiling = ([b.wss for b in buckets], [b.wse for b in buckets])
+        tally = [0] * count
+        for p in case.descendants.starts.tolist():
+            if w.contains(p):
+                tally[w.bucket_of(p, count)] += 1
+        histograms = (
+            PLHistogram.build_ancestor(case.ancestors, w, count),
+            PLHistogram.build_descendant(case.descendants, w, count),
+        )
+        for histogram in histograms:
+            if (histogram.wss.tolist(), histogram.wse.tolist()) != tiling:
+                _fail(
+                    "summary-geometry",
+                    f"PL {histogram.role} edges for {count} buckets "
+                    f"{histogram.wss.tolist()} / {histogram.wse.tolist()} "
+                    f"differ from buckets({count}) {tiling}",
+                )
+        if histograms[1].n.tolist() != tally:
+            _fail(
+                "summary-geometry",
+                f"PL descendant counts {histograms[1].n.tolist()} for "
+                f"{count} buckets differ from the bucket_of tally {tally}",
+            )
 
 
 def check_estimate_vs_exact(case: Case) -> None:

@@ -860,7 +860,9 @@ class EstimationService:
                 if self.feedback is not None
                 else None
             ),
-            "memo": self._memo.stats() if self._memo else None,
+            "memo": (
+                self._memo.stats() if self._memo is not None else None
+            ),
             "summary_cache": self.summary_cache.stats(),
             "index_cache": self.index_cache.stats(),
             "staleness_p99_s": self._m_staleness.percentile(99.0),

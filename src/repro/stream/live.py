@@ -2,12 +2,18 @@
 
 ``LiveWorkspace`` holds the current element population of one tenant,
 grouped by tag.  The write path keeps only what every read needs — the
-per-tag start-sorted region arrays (the SoA the kernels consume),
-maintained in place by binary insertion/removal.  The paper's synopses
-are kept per tag on demand: the first call to :meth:`pl_histogram`,
-:meth:`cell_histogram`, :meth:`ttree` or :meth:`reservoir` builds all
-four from the tag's current elements, and from then on every write to
-that tag updates them incrementally — no rebuilds:
+per-tag start-sorted region codes (the SoA the kernels consume) in two
+``array("q")`` int64 buffers, maintained in place by binary
+insertion/removal.  A read after a write snapshots a tag by copying
+each buffer into a numpy array, one memcpy apiece, so the node set owns
+its arrays; a code a buffer cannot hold (a float, an int at or past
+2**63) fails its batch or bootstrap with a ``StreamError``.
+
+The paper's synopses are kept per tag on demand: the first call to
+:meth:`pl_histogram`, :meth:`cell_histogram`, :meth:`ttree` or
+:meth:`reservoir` builds all four from the tag's current elements, and
+from then on every write to that tag updates them incrementally — no
+rebuilds:
 
 * :class:`~repro.maintenance.incremental.IncrementalPLHistogram` — the
   Table 1 PL statistics, O(buckets crossed) per mutation;
@@ -54,6 +60,7 @@ from __future__ import annotations
 import threading
 import time
 import zlib
+from array import array
 from bisect import bisect_left
 from collections import OrderedDict, deque
 from typing import Callable, Iterable
@@ -83,6 +90,13 @@ def _outside(what: str, element: Element, workspace: Workspace) -> StreamError:
     return StreamError(
         f"{what} element ({element.start}, {element.end}) outside "
         f"workspace {tuple(workspace)}"
+    )
+
+
+def _not_int64(element: Element, tag: str, error: Exception) -> StreamError:
+    return StreamError(
+        f"element ({element.start!r}, {element.end!r}) under tag {tag!r} "
+        f"has a region code that is not an int64: {error}"
     )
 
 
@@ -153,8 +167,8 @@ class _TagState:
 
     def __init__(self, tag: str) -> None:
         self.tag = tag
-        self.starts: list[int] = []
-        self.ends: list[int] = []
+        self.starts = array("q")  # int64 buffers, start-sorted
+        self.ends = array("q")
         self.elements: list[Element] = []  # aligned with starts/ends
         self.synopses: _Synopses | None = None
         self.node_set: NodeSet | None = None
@@ -173,15 +187,27 @@ class _TagState:
         return -1
 
     def add(self, element: Element) -> None:
-        """Insert into the sorted arrays only."""
-        index = bisect_left(self.starts, element.start)
-        if index < len(self.starts) and self.starts[index] == element.start:
+        """Insert into the sorted arrays only.
+
+        A code the int64 buffers cannot hold (a float, one at or past
+        2**63) raises :class:`StreamError` and leaves the tag as it was.
+        """
+        starts = self.starts
+        index = bisect_left(starts, element.start)
+        if index < len(starts) and starts[index] == element.start:
             raise StreamError(
                 f"duplicate insert: element ({element.start}, "
                 f"{element.end}) is already live under tag {self.tag!r}"
             )
-        self.starts.insert(index, element.start)
-        self.ends.insert(index, element.end)
+        try:
+            starts.insert(index, element.start)
+        except (TypeError, OverflowError) as error:
+            raise _not_int64(element, self.tag, error) from error
+        try:
+            self.ends.insert(index, element.end)
+        except (TypeError, OverflowError) as error:
+            del starts[index]
+            raise _not_int64(element, self.tag, error) from error
         self.elements.insert(index, element)
 
     def discard(self, element: Element) -> Element:
@@ -197,10 +223,16 @@ class _TagState:
         return self.elements.pop(index)
 
     def materialize(self) -> NodeSet:
+        """The tag's node set, built on first read after a write.
+
+        Each buffer is copied, one memcpy apiece: the node set must own
+        its arrays, since the next write changes the buffers in place
+        (and a buffer refuses to resize while a view of it is alive).
+        """
         if self.node_set is None:
             self.node_set = NodeSet.from_arrays(
-                np.asarray(self.starts, dtype=np.int64),
-                np.asarray(self.ends, dtype=np.int64),
+                np.frombuffer(self.starts, np.int64).copy(),
+                np.frombuffer(self.ends, np.int64).copy(),
                 name=self.tag,
             )
         return self.node_set
@@ -506,10 +538,10 @@ class LiveWorkspace:
     def node_set(self, tag: str) -> NodeSet:
         """The tag's current population as a (cached) NodeSet.
 
-        Built zero-copy from the maintained sorted arrays; the same
-        object is returned until the next mutation touches the tag, so
-        its content fingerprint is stable across reads and bumped by
-        writes.
+        Copied from the maintained int64 buffers, one memcpy each; the
+        same object is returned until the next mutation touches the
+        tag, so its content fingerprint is stable across reads and
+        bumped by writes.
         """
         with self._lock:
             return self._live_state(tag).materialize()

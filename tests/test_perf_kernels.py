@@ -9,6 +9,8 @@ approximation.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,8 @@ from hypothesis import strategies as st
 from repro import perf
 from repro.core.element import Element
 from repro.core.nodeset import NodeSet
-from repro.core.workspace import Workspace
+from repro.core.workspace import Bucket, Workspace
+from repro.estimators.base import Estimate
 from repro.estimators.coverage_histogram import (
     CoverageHistogramEstimator,
     bucket_coverage,
@@ -30,7 +33,9 @@ from repro.estimators.ph_histogram import (
     cell_histogram,
     cell_histogram_reference,
 )
+from repro.estimators.mre import cov_value, maximum_relative_error
 from repro.estimators.pl_histogram import (
+    PLBucket,
     PLHistogram,
     PLHistogramEstimator,
     equi_depth_edges,
@@ -271,3 +276,277 @@ class TestPLEstimatorParity:
                 reference = estimator.estimate(ancestors, descendants)
             assert vectorized.value == reference.value, bucketing
             assert vectorized.mre == reference.mre, bucketing
+
+
+def _descendant_reference(
+    node_set: NodeSet,
+    workspace: Workspace,
+    num_buckets: int,
+    edges: list[float] | None = None,
+) -> list[PLBucket]:
+    """The ``np.histogram`` descendant build, one ``Bucket`` apiece."""
+    if edges is None:
+        bounds = workspace.buckets(num_buckets)
+        edge_array = np.array([b.wss for b in bounds] + [bounds[-1].wse])
+    else:
+        bounds = [
+            Bucket(i, edges[i], edges[i + 1]) for i in range(len(edges) - 1)
+        ]
+        edge_array = np.array(edges)
+    counts, __ = np.histogram(node_set.starts, bins=edge_array)
+    return [
+        PLBucket(i, bounds[i].wss, bounds[i].wse, int(counts[i]))
+        for i in range(len(bounds))
+    ]
+
+
+def _equation1_reference(
+    estimator: PLHistogramEstimator,
+    buckets_a: list[PLBucket],
+    buckets_d: list[PLBucket],
+) -> Estimate:
+    """Equation 1 as a loop over ``PLBucket`` objects."""
+    total = 0.0
+    cov_weight = 0
+    cov_sum = 0.0
+    worst_mre = 0.0
+    for bucket_a, bucket_d in zip(buckets_a, buckets_d):
+        if bucket_a.n == 0:
+            continue
+        cov = cov_value(bucket_a.average_length, bucket_d.n, bucket_a.width)
+        total += bucket_a.n * cov
+        cov_sum += cov * bucket_a.n
+        cov_weight += bucket_a.n
+        if bucket_d.n:
+            worst_mre = max(worst_mre, maximum_relative_error(cov))
+    average_cov = cov_sum / cov_weight if cov_weight else 0.0
+    return Estimate(
+        value=total,
+        estimator=estimator.name,
+        mre=maximum_relative_error(average_cov),
+        details={
+            "num_buckets": estimator.num_buckets,
+            "length_mode": estimator.length_mode,
+            "bucketing": estimator.bucketing,
+            "average_cov": average_cov,
+            "worst_bucket_mre": worst_mre,
+        },
+    )
+
+
+def _pl_reference(
+    estimator: PLHistogramEstimator,
+    ancestors: NodeSet,
+    descendants: NodeSet,
+    workspace: Workspace | None = None,
+) -> Estimate:
+    """PL-Hist-Est from the loop oracle, ``np.histogram`` and the
+    per-bucket Equation 1 loop."""
+    workspace = estimator.resolve_workspace(ancestors, descendants, workspace)
+    if len(ancestors) == 0 or len(descendants) == 0:
+        return Estimate(0.0, estimator.name, mre=0.0)
+    edges = None
+    if estimator.bucketing == "equi-depth":
+        edges = equi_depth_edges(descendants, workspace, estimator.num_buckets)
+    return _equation1_reference(
+        estimator,
+        PLHistogram.build_ancestor_reference(
+            ancestors,
+            workspace,
+            estimator.num_buckets,
+            estimator.length_mode,
+            edges,
+        ).buckets,
+        _descendant_reference(
+            descendants, workspace, estimator.num_buckets, edges
+        ),
+    )
+
+
+def _outcome(estimate) -> object:
+    """What a call returned or raised, compared bit for bit.
+
+    ``repr`` round-trips a float exactly and tells ``-0.0`` from
+    ``0.0`` and a numpy scalar from a Python one.
+    """
+    try:
+        result = estimate()
+    except Exception as error:  # the outcome is what gets compared
+        return ("raised", type(error), str(error))
+    return repr(
+        (
+            result.value,
+            result.mre,
+            result.estimator,
+            sorted(result.details.items()),
+        )
+    )
+
+
+def _pl_mismatch(
+    ancestors: NodeSet,
+    descendants: NodeSet,
+    workspace: Workspace | None,
+    **config,
+) -> tuple | None:
+    """``None`` when the estimator matches its reference, else both."""
+    estimator = PLHistogramEstimator(**config)
+    got = _outcome(
+        lambda: estimator.estimate(ancestors, descendants, workspace)
+    )
+    want = _outcome(
+        lambda: _pl_reference(estimator, ancestors, descendants, workspace)
+    )
+    return None if got == want else (config, got, want)
+
+
+class TestPLArrayForm:
+    """PL's per-bucket arrays equal the per-bucket object form (the
+    loop oracle, ``np.histogram`` and a per-``PLBucket`` Equation 1
+    loop): every value, MRE, details field and error."""
+
+    @given(
+        random_node_sets(),
+        node_set_and_workspace(),
+        st.booleans(),
+        st.integers(min_value=1, max_value=20),
+        st.sampled_from(["clipped", "full"]),
+        st.sampled_from(["equi-width", "equi-depth"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_random_node_sets(
+        self, ancestors, case, given_workspace, buckets, length_mode,
+        bucketing,
+    ):
+        descendants, workspace = case
+        assert (
+            _pl_mismatch(
+                ancestors,
+                descendants,
+                workspace if given_workspace else None,
+                num_buckets=buckets,
+                length_mode=length_mode,
+                bucketing=bucketing,
+            )
+            is None
+        )
+
+    @pytest.mark.parametrize("dataset", ["xmark", "dblp", "xmach"])
+    def test_table3_pairs(self, dataset):
+        from repro.datasets.workloads import ALL_WORKLOADS
+        from repro.experiments.data import get_dataset
+
+        data = get_dataset(dataset, scale=0.05)
+        tree_workspace = data.tree.workspace()
+        mismatches = []
+        checked = 0
+        for query in ALL_WORKLOADS[dataset]:
+            ancestors = data.node_set(query.ancestor)
+            descendants = data.node_set(query.descendant)
+            for workspace in (None, tree_workspace):
+                for buckets in (1, 2, 7, 16, 50):
+                    for length_mode in ("clipped", "full"):
+                        for bucketing in ("equi-width", "equi-depth"):
+                            checked += 1
+                            mismatch = _pl_mismatch(
+                                ancestors,
+                                descendants,
+                                workspace,
+                                num_buckets=buckets,
+                                length_mode=length_mode,
+                                bucketing=bucketing,
+                            )
+                            if mismatch is not None:
+                                mismatches.append((query.id, mismatch))
+        assert checked >= 240
+        assert mismatches == []
+
+    def test_derived_buckets_equal_the_object_form(self):
+        node_set = EDGE_CASE_SETS[3]
+        workspace = Workspace(3, 15)
+        for buckets in (1, 4, 9):
+            built = PLHistogram.build_descendant(node_set, workspace, buckets)
+            assert built.buckets == _descendant_reference(
+                node_set, workspace, buckets
+            )
+            assert built.role == "descendant" and len(built) == buckets
+            ancestor = PLHistogram.build_ancestor(node_set, workspace, buckets)
+            tiling = workspace.buckets(buckets)
+            assert ancestor.wss.tolist() == [b.wss for b in tiling]
+            assert ancestor.wse.tolist() == [b.wse for b in tiling]
+            assert ancestor.buckets is ancestor.buckets  # built once
+
+    @pytest.mark.parametrize(
+        ("node_set", "workspace", "edges"),
+        [
+            # Equal-width edges of a narrow workspace far from 0 round
+            # to one value: every bucket is empty of width.
+            (
+                NodeSet([Element("a", 2**60 + 1, 2**60 + 9, 0)]),
+                Workspace(2**60, 2**60 + 10),
+                None,
+            ),
+            # A repeated explicit edge: bucket 1 has zero width and the
+            # interval crosses it.
+            (EDGE_CASE_SETS[2], Workspace(0, 120), [0.0, 5.0, 5.0, 121.0]),
+        ],
+    )
+    @pytest.mark.parametrize("length_mode", ["clipped", "full"])
+    def test_non_positive_width_raises_the_same(
+        self, node_set, workspace, edges, length_mode
+    ):
+        estimator = PLHistogramEstimator(
+            num_buckets=3, length_mode=length_mode
+        )
+
+        def array_form():
+            return estimator.estimate_from_histograms(
+                PLHistogram.build_ancestor(
+                    node_set, workspace, 3, length_mode, edges
+                ),
+                PLHistogram.build_descendant(node_set, workspace, 3, edges),
+            )
+
+        def object_form():
+            return _equation1_reference(
+                estimator,
+                PLHistogram.build_ancestor_reference(
+                    node_set, workspace, 3, length_mode, edges
+                ).buckets,
+                _descendant_reference(node_set, workspace, 3, edges),
+            )
+
+        outcome = _outcome(array_form)
+        assert outcome == _outcome(object_form)
+        assert outcome[:2] == ("raised", ValueError)
+        assert outcome[2] == "bucket width must be > 0, got 0.0"
+        if edges is None:
+            assert _outcome(
+                lambda: estimator.estimate(node_set, node_set, workspace)
+            ) == outcome
+
+    @pytest.mark.parametrize("ones", [8, 9, 15, 40])
+    def test_bucket_terms_add_left_to_right(self, ones):
+        """Terms ``2**53, 1.0, 1.0, ...``: added left to right each 1.0
+        rounds away; a compensated (3.12's builtin ``sum``), pairwise
+        (``np.sum``) or exact (``math.fsum``) total keeps them."""
+        terms = [2.0**53] + [1.0] * ones
+        count = len(terms)
+        wss = np.arange(count, dtype=np.float64)
+        ancestors = PLHistogram(
+            wss, wss + 1.0, np.ones(count), terms, "ancestor"
+        )
+        descendants = PLHistogram(
+            wss, wss + 1.0, np.ones(count), np.zeros(count), "descendant"
+        )
+        assert math.fsum(terms) != 2.0**53
+        assert float(np.sum(terms)) != 2.0**53
+        estimator = PLHistogramEstimator(num_buckets=count)
+        result = estimator.estimate_from_histograms(ancestors, descendants)
+        assert result.value == 2.0**53
+        assert result.details["average_cov"] == 2.0**53 / count
+        assert _outcome(lambda: result) == _outcome(
+            lambda: _equation1_reference(
+                estimator, ancestors.buckets, descendants.buckets
+            )
+        )

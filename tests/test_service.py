@@ -376,6 +376,14 @@ class TestMemoizationAndDedup:
             service.map(requests, timeout=30.0)
         assert list(stores.values()) == [1, 1, 1, 1]
 
+    def test_fresh_memo_reports_its_size(self):
+        """An empty memo is reported, not taken for a disabled one."""
+        with EstimationService(workers=0) as service:
+            memo = service.stats()["memo"]
+        assert (memo["size"], memo["maxsize"]) == (0, 4096)
+        with EstimationService(workers=0, memoize=False) as service:
+            assert service.stats()["memo"] is None
+
     def test_memoize_false_disables_dedup(self, figure1_tree):
         requests = [_request(figure1_tree) for __ in range(3)]
         with EstimationService(workers=0, memoize=False) as service:

@@ -15,6 +15,7 @@ import threading
 import numpy as np
 import pytest
 
+import repro
 from repro.core.element import Element
 from repro.core.errors import ServiceError, StreamError
 from repro.core.nodeset import NodeSet
@@ -191,8 +192,22 @@ class TestLiveWorkspace:
         live = LiveWorkspace(WORKSPACE, elements=_pool(), seed=0)
         (first, __), __seq = live.snapshot("a", "d"), None
         assert live.node_set("a") is first[0]
-        live.apply([Mutation("delete", Element("a", 1, 9))])
+        before = live.rebuild_node_set("a")
+        live.apply(
+            [
+                Mutation("delete", Element("a", 1, 9)),
+                Mutation("insert", Element("a", 0, 10)),
+                Mutation("update", Element("a", 21, 29), Element("a", 22, 30)),
+            ]
+        )
         assert live.node_set("a") is not first[0]
+        # The snapshot owns its arrays: the write, which changed the
+        # tag's buffers in place, left its codes and (first computed
+        # only now) fingerprint as of before the write.
+        assert np.array_equal(first[0].starts, before.starts)
+        assert np.array_equal(first[0].ends, before.ends)
+        assert first[0].fingerprint == before.fingerprint
+        assert first[0].fingerprint != live.fingerprint("a")
 
     def test_unknown_tag(self):
         live = LiveWorkspace(WORKSPACE, elements=_pool(), seed=0)
@@ -269,6 +284,54 @@ class TestBatchAtomicity:
     def test_out_of_workspace_bootstrap_rejected(self):
         with pytest.raises(StreamError, match="bootstrap element"):
             LiveWorkspace(Workspace(0, 50), elements=[Element("a", 40, 60)])
+
+    #: Region codes an int64 buffer cannot hold, each in a workspace
+    #: that admits it.
+    NOT_INT64 = [
+        pytest.param(Workspace(0, 100), Element("a", 10.5, 20), id="float"),
+        pytest.param(
+            Workspace(0, 2**64), Element("a", 2**63, 2**63 + 5), id="start"
+        ),
+        pytest.param(Workspace(0, 2**64), Element("a", 30, 2**63), id="end"),
+    ]
+
+    @pytest.mark.parametrize(("workspace", "element"), NOT_INT64)
+    def test_code_not_an_int64_fails_bootstrap(self, workspace, element):
+        with pytest.raises(StreamError, match="not an int64"):
+            LiveWorkspace(
+                workspace, elements=[Element("a", 1, 9), element], seed=0
+            )
+
+    @pytest.mark.parametrize(("workspace", "element"), NOT_INT64)
+    def test_code_not_an_int64_rejects_its_batch(self, workspace, element):
+        live = LiveWorkspace(
+            workspace,
+            elements=[Element("a", 1, 9), Element("a", 40, 50)],
+            seed=0,
+        )
+        served = live.node_set("a")
+        before = (_population(live), _fingerprints(live))
+        batch = [
+            Mutation("delete", Element("a", 40, 50)),
+            Mutation("insert", Element("b", 60, 70)),
+            Mutation("insert", element),
+        ]
+        with pytest.raises(
+            StreamError, match=r"batch 1 rejected.*not an int64"
+        ):
+            live.apply(batch)
+        assert (_population(live), _fingerprints(live)) == before
+        assert live.tags() == ["a"] and live.node_set("a") is served
+        assert live.stats()["rejected_batches"] == 1
+        # The tag stays readable, through the service as well.
+        live.apply([Mutation("insert", Element("a", 20, 30))])
+        assert live.node_set("a").starts.tolist() == [1, 20, 40]
+        with EstimationService(live=live, workers=0) as service:
+            response = service.estimate("a", "a", "PL", num_buckets=4)
+        rebuilt = live.rebuild_node_set("a")
+        direct = repro.estimate(rebuilt, rebuilt, "PL", num_buckets=4)
+        assert response.status == "ok"
+        assert response.estimate.value == direct.value
 
     def test_failed_batch_is_undone_whole(self):
         live = self._live()
