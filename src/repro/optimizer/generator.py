@@ -56,6 +56,7 @@ from repro.estimators.registry import (
 )
 from repro.feedback import runtime as _feedback
 from repro.optimizer.chain import chain_join_size
+from repro.service.request import EstimateRequest
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.catalog.catalog import StatisticsCatalog
@@ -124,10 +125,12 @@ class CardinalityGenerator(abc.ABC):
 
     Lifecycle per planning pass: :meth:`setup_for_workload` once (with
     the shared workspace and an optional statistics catalog), then
-    :meth:`pre_check` on the concrete state, then any number of
-    ``estimate_join`` calls.  All three must be idempotent: the planner
+    :meth:`pre_check` on the concrete state, then
+    :meth:`setup_for_query` once on the same state, then any number of
+    ``estimate_join`` calls.  All four must be idempotent: the planner
     guarantees nothing about how often, or in which order relative to
-    :meth:`describe`, they run.
+    :meth:`describe`, they run, and direct callers of
+    ``estimate_join`` (the twig estimator) skip ``setup_for_query``.
     """
 
     #: Display name used in plans, reports and bench artifacts.
@@ -153,6 +156,15 @@ class CardinalityGenerator(abc.ABC):
                     f"planning leaf {index} is not a NodeSet: "
                     f"{type(node_set).__name__}"
                 )
+
+    def setup_for_query(self, state: PlanningState) -> None:
+        """Prepare for one planning pass over ``state`` (optional hook).
+
+        Runs after :meth:`pre_check`, before the first ``estimate_join``
+        of the pass; the default does nothing.  A generator that can
+        answer a whole chain at once fetches it here, into
+        ``state.scratch``.
+        """
 
     @abc.abstractmethod
     def estimate_join(
@@ -185,7 +197,8 @@ class PairwiseGenerator(CardinalityGenerator):
     where ``f(m)`` is 0.0 for an empty ``s_m``, whose pair is never
     asked for.  Each pair is estimated at most once per planning pass,
     in the order segments first reach it, and memoized in
-    ``state.scratch`` under ``id(self)``.
+    ``state.scratch`` under ``id(self)``: the pair table, keyed by the
+    pair's left leaf index.
     """
 
     @abc.abstractmethod
@@ -258,10 +271,20 @@ class ServiceGenerator(PairwiseGenerator):
     """Pair estimates served by an :class:`EstimationService`.
 
     Every pair estimate is one service request — memoized, micro-batched
-    and deadline-guarded by the service.  With ``deadline_s`` set the
-    planner never stalls on a slow estimator: a request that cannot
-    finish in time returns the service's degraded answer (catalog or
-    structural bound) and the pass keeps moving.
+    and deadline-guarded by the service.  Under the planner a chain of
+    ``k`` sets costs one call: :meth:`setup_for_query` sends its ``k-1``
+    pair requests, in index order, as one
+    :meth:`~repro.service.engine.EstimationService.map` burst, which
+    answers the memo hits in one pass, and fills the pair table the DP
+    reads.  A direct ``estimate_join`` caller that skipped the hook asks
+    for each pair as it needs it, one request per pair.
+
+    With ``deadline_s`` set the planner never stalls on a slow
+    estimator: a request that cannot finish in time returns the
+    service's degraded answer (catalog or structural bound) and the
+    pass keeps moving.  The pairs of one chain are admitted together,
+    so each one's deadline counts from the chain's admission: once the
+    chain's early pairs use up the budget, its later pairs degrade.
 
     Args:
         service: the running service (``workers=0`` caller-runs mode
@@ -287,19 +310,42 @@ class ServiceGenerator(PairwiseGenerator):
         self.requests = 0
         self.degraded = 0
 
+    def setup_for_query(self, state: PlanningState) -> None:
+        pairs = state.scratch.setdefault(id(self), {})
+        missing = [i for i in range(state.size - 1) if i not in pairs]
+        if missing:
+            values = self._request_pairs(missing, state)
+            for index, value in zip(missing, values):
+                pairs[index] = max(0.0, value)
+
     def estimate_pair(self, index: int, state: PlanningState) -> float:
-        response = self.service.estimate(
-            state.node_sets[index],
-            state.node_sets[index + 1],
-            self.method,
-            workspace=state.workspace,
-            deadline_s=self.deadline_s,
-            **self.config,
+        return self._request_pairs([index], state)[0]
+
+    def _request_pairs(
+        self, indices: list[int], state: PlanningState
+    ) -> list[float]:
+        """Estimate the pairs at ``indices`` with one service call."""
+        sets = state.node_sets
+        responses = self.service.map(
+            [
+                EstimateRequest(
+                    sets[index],
+                    sets[index + 1],
+                    self.method,
+                    state.workspace,
+                    self.config,
+                    self.deadline_s,
+                )
+                for index in indices
+            ]
         )
-        self.requests += 1
-        if response.status != "ok":
-            self.degraded += 1
-        return response.estimate.value
+        self.requests += len(responses)
+        values = []
+        for response in responses:
+            if response.status != "ok":
+                self.degraded += 1
+            values.append(response.estimate.value)
+        return values
 
     def describe(self) -> dict[str, Any]:
         return {

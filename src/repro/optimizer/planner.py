@@ -224,6 +224,7 @@ def optimize(
     gen.setup_for_workload(workspace, catalog)
     state = PlanningState(tuple(node_sets), workspace=workspace)
     gen.pre_check(state)
+    gen.setup_for_query(state)
 
     # Flat tables indexed [i * k + j] for the segment s_i // ... // s_j,
     # sizes filled shortest-first so seeded samplers see one RNG stream.

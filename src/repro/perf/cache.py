@@ -94,6 +94,10 @@ def approx_nbytes(value: Any, depth: int = 4) -> int:
                 )
     return total
 
+#: Marks a key :meth:`SummaryCache.peek_many` did not find (a cached
+#: value may be None).
+_ABSENT = object()
+
 #: Default number of summaries kept before LRU eviction kicks in.  A
 #: summary is a few hundred bytes to a few KB, so even the default is
 #: small; sweeps needing more can size their own cache.
@@ -188,6 +192,36 @@ class SummaryCache:
                 "hits" if found else "misses", kind=self.metric_kind
             )
         return value
+
+    def peek_many(
+        self, keys: list[Hashable], default: T | None = None
+    ) -> list[T | None]:
+        """:meth:`peek` every key of ``keys`` in order, under one lock.
+
+        Leaves the same values, hit and miss counters, obs counters and
+        LRU order as peeking the keys one after another; a key repeated
+        within the call counts once per occurrence.
+        """
+        data = self._data
+        values: list[Any] = []
+        misses = 0
+        with self._lock:
+            for key in keys:
+                value = data.get(key, _ABSENT)
+                if value is _ABSENT:
+                    misses += 1
+                    value = default
+                else:
+                    data.move_to_end(key)
+                values.append(value)
+            hits = len(keys) - misses
+            self.hits += hits
+            self.misses += misses
+        if _obs.enabled():
+            for event, amount in (("hits", hits), ("misses", misses)):
+                if amount:
+                    _obs.record_cache(event, amount, kind=self.metric_kind)
+        return values
 
     def put(self, key: Hashable, value: Any) -> None:
         """Insert ``value`` under ``key`` (no hit/miss accounting).

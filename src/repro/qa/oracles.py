@@ -46,7 +46,9 @@ The oracles cover the layers named in the ROADMAP's production story:
 * ``planner-invariance`` — the join-order planner's output is a pure
   function of (chain, generator config): calling ``describe()`` or
   repeating ``setup_for_workload`` before/around planning never changes
-  the plan, and the plan survives its wire round-trip.
+  the plan, and the plan survives its wire round-trip.  A
+  service-backed generator, which sends each chain's pairs as one
+  burst, plans bit for bit like one direct estimate per pair.
 * ``metamorphic`` — region-code translation/dilation invariance,
   ancestor-union additivity, duplication scaling, A/D disjointness.
 * ``parser-fuzz`` / ``validator-fuzz`` — the invalid-input corpus is
@@ -84,6 +86,7 @@ from repro.join import (
     nested_loop_join,
     stack_tree_join,
 )
+from repro.optimizer.generator import PairwiseGenerator, PlanningState
 from repro.perf import IndexCache, SummaryCache, use_cache, use_index_cache
 from repro.qa.generators import (
     Case,
@@ -1005,6 +1008,13 @@ def check_planner_invariance(case: Case) -> None:
     plainly, once with ``describe()`` calls and a repeated setup
     interleaved — and requires bit-identical plans, then round-trips
     the plan through its versioned wire form.
+
+    Then, on a fresh service per method, ``a // a // a`` and
+    ``a // a // d`` are planned through the service-backed generator
+    (one ``map`` burst per chain: an in-flight follower, then a memo hit
+    beside a miss) for PL and a seeded IM.  Each plan must equal, bit
+    for bit, the plan built from one direct estimate per pair, from two
+    requests and no degraded answer.
     """
     from repro.optimizer.generator import resolve_generator
     from repro.optimizer.planner import JoinPlan, optimize
@@ -1046,6 +1056,68 @@ def check_planner_invariance(case: Case) -> None:
                 "planner-invariance",
                 f"{name}: plan wire round-trip not identical",
             )
+
+    a, d = case.ancestors, case.descendants
+    for name, config in (
+        ("PL", {"num_buckets": 8}),
+        ("IM", method_config("IM", case, seed=case.seed)),
+    ):
+        with EstimationService(workers=0) as service:
+            for chain in ([a, a, a], [a, a, d]):
+                generator = service.cardinality_generator(name, **config)
+                served = optimize(chain, generator, workspace=case.workspace)
+                direct = optimize(
+                    chain,
+                    _DirectPairs(name, config),
+                    workspace=case.workspace,
+                )
+                label = "a // a // " + ("a" if chain[2] is a else "d")
+                if _plan_bits(served) != _plan_bits(direct):
+                    _fail(
+                        "planner-invariance",
+                        f"SERVICE-{name} on {label}: plan {served} != "
+                        f"direct per-pair plan {direct}",
+                    )
+                if (generator.requests, generator.degraded) != (2, 0):
+                    _fail(
+                        "planner-invariance",
+                        f"SERVICE-{name} on {label}: "
+                        f"{generator.requests} requests, "
+                        f"{generator.degraded} degraded; expected 2 and 0",
+                    )
+
+
+class _DirectPairs(PairwiseGenerator):
+    """One :func:`repro.api.estimate` call per adjacent pair: what a
+    service-backed generator with the same configuration computes."""
+
+    def __init__(self, method: str, config: dict[str, Any]) -> None:
+        self.method = method
+        self.config = config
+        self.name = f"DIRECT-{method}"
+
+    def estimate_pair(self, index: int, state: PlanningState) -> float:
+        return api.estimate(
+            state.node_sets[index],
+            state.node_sets[index + 1],
+            self.method,
+            workspace=state.workspace,
+            **self.config,
+        ).value
+
+
+def _plan_bits(plan: Any) -> tuple:
+    """A plan tree with every size as its exact float hex."""
+    size = plan.estimated_size.hex()
+    if plan.is_leaf:
+        return (plan.lo, size)
+    return (
+        plan.lo,
+        plan.hi,
+        size,
+        _plan_bits(plan.left),
+        _plan_bits(plan.right),
+    )
 
 
 def check_fused_vs_reference(case: Case) -> None:

@@ -39,6 +39,12 @@ single caller (``map``) admits through
 when the queue fills, so its own burst coalesces into full micro-batches
 instead of being shed against itself.
 
+**One-pass admission.**  ``submit`` (a burst of one) and ``map`` share
+one admission pass: one clock reading per burst, every memo key looked
+up under one cache lock with the hits answered at once, and the misses
+registered in the in-flight table under one lock.  Every response, hit
+or computed, is built by the same ``_resolve``.
+
 Every decision increments ``service.*`` metrics in the service's own
 always-on registry (exposed by :meth:`EstimationService.stats`) and is
 mirrored into the ambient :mod:`repro.obs` registry whenever
@@ -74,6 +80,10 @@ from repro.service.request import (
     EstimateResponse,
     ServiceFuture,
 )
+
+
+#: The ladder level of the bound arm's inline answer.
+_BOUND_LEVEL = LADDER.index("bound")
 
 
 class _ResultMemo(SummaryCache):
@@ -427,20 +437,19 @@ class EstimationService:
                     ancestors, descendants, tenant, max_staleness_s
                 )
             )
-        future, needs_queue = self._prepare(
-            ancestors,
-            descendants,
-            method,
-            request=request,
-            workspace=workspace,
-            deadline_s=deadline_s,
-            max_staleness_s=max_staleness_s,
-            request_id=request_id,
-            config=config,
-            live=live,
-            snapshot_seq=snapshot_seq,
-        )
-        if needs_queue:
+        if request is None:
+            request = EstimateRequest(
+                ancestors=ancestors,
+                descendants=descendants,
+                method=method,
+                workspace=workspace,
+                config=config,
+                deadline_s=deadline_s,
+                max_staleness_s=max_staleness_s,
+                request_id=request_id,
+            )
+        (future,), pending = self._admit((request,), live, snapshot_seq)
+        if pending:
             if not self._queue.put(future):
                 self._count("service.shed")
                 self._resolve_shed(future, reason="overload")
@@ -515,116 +524,122 @@ class EstimationService:
             )
         return live
 
-    def _prepare(
+    def _admit(
         self,
-        ancestors: NodeSet | None = None,
-        descendants: NodeSet | None = None,
-        method: str = "PL",
-        *,
-        request: EstimateRequest | None = None,
-        workspace: Workspace | None = None,
-        deadline_s: float | None = None,
-        max_staleness_s: float | None = None,
-        request_id: str | None = None,
-        config: dict[str, Any] | None = None,
+        requests: Iterable[EstimateRequest],
         live: Any = None,
         snapshot_seq: int | None = None,
-    ) -> tuple[ServiceFuture, bool]:
-        """Validate, memo-check and dedup one request.
+    ) -> tuple[list[ServiceFuture], list[ServiceFuture]]:
+        """Admit a burst of requests in one pass.
 
-        Returns the future and whether it still needs queueing — False
-        when it was answered from the result memo or attached to an
-        identical in-flight lead.
+        Returns every request's future, in order, and the futures that
+        still need queueing.  The burst checks for a closed service and
+        reads the clock once; each request is routed on its own.  Every
+        memo key is looked up under one cache lock and the hits are
+        answered at once, without touching the queue.  The misses then
+        pass the in-flight table under one lock: each becomes a lead,
+        or a follower of an identical request already in flight.  Every
+        key is derived before any lead registers, so a burst that raises
+        leaves nothing behind.
         """
         if self._closed:
             raise ServiceError("service is closed")
-        if request is None:
-            request = EstimateRequest(
-                ancestors=ancestors,
-                descendants=descendants,
-                method=method,
-                workspace=workspace,
-                config=config if config is not None else {},
-                deadline_s=deadline_s,
-                max_staleness_s=max_staleness_s,
-                request_id=request_id,
-            )
-        routed_method: str | None = None
-        routed_from: str | None = None
-        if self._router is not None:
-            arm, arm_config = self._router.route(request, self.feedback)
-            routed_method = arm
-            routed_from = request.method
-            self._m_routed.inc()
-            self._count(f"service.routed.{arm}")
-            if arm != BOUND_METHOD and (
-                arm != request.method or arm_config != request.config
-            ):
-                # Rebuild (rather than mutate) so validation reruns and
-                # the future derives its memo key from the routed form.
-                request = EstimateRequest(
-                    ancestors=request.ancestors,
-                    descendants=request.descendants,
-                    method=arm,
-                    workspace=request.workspace,
-                    config=arm_config,
-                    deadline_s=request.deadline_s,
-                    max_staleness_s=request.max_staleness_s,
-                    request_id=request.request_id,
-                )
         now = self._clock()
-        future = ServiceFuture(
-            request, enqueued_at=now, cond=self._resolution
-        )
-        future.routed_method = routed_method
-        future.routed_from = routed_from
-        future.live = live
-        future.snapshot_seq = snapshot_seq
-        if routed_method == BOUND_METHOD:
-            # The bound arm never queues: the ladder's bottom rung is one
-            # cached O(|A|) scan, answered inline in the calling thread.
-            estimate, level = (
-                DegradationLadder._from_bound(request),
-                LADDER.index("bound"),
-            )
-            self._resolve(
-                future,
-                estimate,
-                status="ok",
-                ladder_level=level,
-                deadline_missed=False,
-                degraded_reason=None,
-                batch_size=1,
-                started_at=now,
-            )
-            return future, False
-        memo_key = future.result_key if self._memo is not None else None
-        if memo_key is not None:
-            cached = self._memo_get(memo_key)
-            if cached is not None:
-                self._m_memo_hits.inc()
+        router = self._router
+        futures: list[ServiceFuture] = []
+        for request in requests:
+            routed_method: str | None = None
+            routed_from: str | None = None
+            if router is not None:
+                arm, arm_config = router.route(request, self.feedback)
+                routed_method = arm
+                routed_from = request.method
+                self._m_routed.inc()
+                self._count(f"service.routed.{arm}")
+                if arm != BOUND_METHOD and (
+                    arm != request.method or arm_config != request.config
+                ):
+                    # Rebuild (rather than mutate) so validation reruns
+                    # and the future derives its memo key from the
+                    # routed form.
+                    request = EstimateRequest(
+                        ancestors=request.ancestors,
+                        descendants=request.descendants,
+                        method=arm,
+                        workspace=request.workspace,
+                        config=arm_config,
+                        deadline_s=request.deadline_s,
+                        max_staleness_s=request.max_staleness_s,
+                        request_id=request.request_id,
+                    )
+            future = ServiceFuture(request, now, self._resolution)
+            future.routed_method = routed_method
+            future.routed_from = routed_from
+            future.live = live
+            future.snapshot_seq = snapshot_seq
+            futures.append(future)
+            if routed_method == BOUND_METHOD:
+                # The bound arm never queues: the ladder's bottom rung is
+                # one cached O(|A|) scan, answered in the calling thread.
                 self._resolve(
                     future,
-                    cached,
+                    DegradationLadder._from_bound(request),
                     status="ok",
-                    ladder_level=0,
+                    ladder_level=_BOUND_LEVEL,
                     deadline_missed=False,
                     degraded_reason=None,
                     batch_size=1,
                     started_at=now,
+                    now=now,
                 )
-                return future, False
-            # Piggyback on an identical request already in flight: the
-            # duplicate never enters the queue; the lead resolves it.
-            with self._inflight_lock:
-                lead = self._inflight.get(memo_key)
-                if lead is not None and lead.followers is not None:
-                    lead.followers.append(future)
-                    self._m_inflight_hits.inc()
-                    return future, False
-                self._inflight[memo_key] = future
-                future.followers = []
-        return future, True
+        memo = self._memo
+        keyed = (
+            [
+                future
+                for future in futures
+                if future.result_key is not None and not future.done()
+            ]
+            if memo is not None
+            else []
+        )
+        cached = (
+            memo.peek_many([f.result_key for f in keyed]) if keyed else ()
+        )
+        hits = 0
+        for future, estimate in zip(keyed, cached):
+            if estimate is not None:
+                hits += 1
+                # The hot path, so positional: status "ok", ladder level
+                # 0, on time, no reason, batch of 1, started and
+                # answered now.
+                self._resolve(
+                    future, estimate, "ok", 0, False, None, 1, now, now
+                )
+        if hits:
+            self._m_memo_hits.inc(hits)
+        pending: list[ServiceFuture] = []
+        followed = 0
+        inflight = self._inflight
+        with self._inflight_lock:
+            for future in futures:
+                if future.done():
+                    continue
+                key = future.result_key if memo is not None else None
+                if key is not None:
+                    # Piggyback on an identical request already in
+                    # flight: the duplicate never enters the queue; the
+                    # lead resolves it.
+                    lead = inflight.get(key)
+                    if lead is not None and lead.followers is not None:
+                        lead.followers.append(future)
+                        followed += 1
+                        continue
+                    inflight[key] = future
+                    future.followers = []
+                pending.append(future)
+        if followed:
+            self._m_inflight_hits.inc(followed)
+        return futures, pending
 
     def estimate(
         self,
@@ -706,8 +721,11 @@ class EstimationService:
         Returns a :class:`~repro.optimizer.generator.ServiceGenerator`
         whose pair estimates are service requests — memoized,
         micro-batched, and (with ``deadline_s``) degradation-guarded, so
-        an optimization pass never stalls on a slow estimator.  Pass the
-        result to :func:`repro.api.optimize`::
+        an optimization pass never stalls on a slow estimator.  Each
+        planning pass sends its chain's pair requests as one :meth:`map`
+        burst, so a chain costs one service call and its memo hits are
+        answered in one pass.  Pass the result to
+        :func:`repro.api.optimize`::
 
             with repro.serve(catalog=catalog, workers=0) as service:
                 generator = service.cardinality_generator(
@@ -717,7 +735,9 @@ class EstimationService:
 
         Args:
             method: estimator name for the pair requests.
-            deadline_s: per-request deadline; None = full fidelity.
+            deadline_s: per-request deadline, counted from the admission
+                of the chain's burst, so it bounds the whole chain; None
+                = full fidelity.
             **config: estimator configuration sent with each request.
         """
         from repro.optimizer.generator import ServiceGenerator
@@ -733,7 +753,11 @@ class EstimationService:
     ) -> list[EstimateResponse]:
         """Submit many requests, wait for all, preserve order.
 
-        The burst is admitted through ``put_many`` — bulk admission
+        The burst is admitted in one pass: one clock reading for every
+        request, one memo lookup under one lock, and the memo hits
+        answered at once, without queueing.  Every request of the burst
+        therefore counts its deadline from that one reading.  The rest
+        enters the queue through ``put_many`` — bulk admission
         under one queue lock, so compatible requests are fully bucketed
         before the first batch is drawn and coalesce into real
         micro-batches.  When the burst exceeds the queue bound, the
@@ -746,13 +770,18 @@ class EstimationService:
         without a thread handoff per micro-batch; the worker pool still
         serves whatever the caller does not pick up.
         """
-        futures: list[ServiceFuture] = []
-        pending: list[ServiceFuture] = []
-        for request in requests:
-            future, needs_queue = self._prepare(request=request)
-            futures.append(future)
-            if needs_queue:
-                pending.append(future)
+        if self._router is None:
+            futures, pending = self._admit(requests)
+        else:
+            # A router reads the feedback that answers given at admission
+            # record (memo hits, the bound arm), so a routed burst admits
+            # its requests one at a time, each after the one before was
+            # answered.
+            futures, pending = [], []
+            for request in requests:
+                admitted, queued = self._admit((request,))
+                futures += admitted
+                pending += queued
         offset = 0
         while offset < len(pending):
             admitted = self._queue.put_many(pending[offset:])
@@ -931,16 +960,18 @@ class EstimationService:
             cached = self._memo_get(key)
             if cached is not None:
                 self._m_memo_hits.inc()
+                now = self._clock()
                 for hit in (future, *self._pop_followers(future)):
                     self._resolve(
                         hit,
                         cached,
                         status="ok",
                         ladder_level=0,
-                        deadline_missed=self._missed(hit),
+                        deadline_missed=self._missed(hit, now),
                         degraded_reason=None,
                         batch_size=len(batch),
                         started_at=started_at,
+                        now=now,
                     )
                 continue
             group = groups.setdefault(key, [])
@@ -956,6 +987,7 @@ class EstimationService:
             lead = group[0]
             if lead.done() and lead._response is not None:
                 response = lead._response
+                now = self._clock()
                 for follower in group[1:]:
                     self._m_singleflight.inc()
                     self._resolve(
@@ -963,10 +995,11 @@ class EstimationService:
                         response.estimate,
                         status=response.status,
                         ladder_level=response.ladder_level,
-                        deadline_missed=self._missed(follower),
+                        deadline_missed=self._missed(follower, now),
                         degraded_reason=response.degraded_reason,
                         batch_size=len(batch),
                         started_at=started_at,
+                        now=now,
                     )
             else:  # lead failed terminally; followers degrade
                 for follower in group[1:]:
@@ -1017,7 +1050,9 @@ class EstimationService:
                 self._finish_ok(
                     future, estimate, started_at, batch_size, per_request
                 )
-            breaker.record(per_request, ok=not self._missed(futures[0]))
+            breaker.record(
+                per_request, ok=not self._missed(futures[0], self._clock())
+            )
             return
 
         for future, estimator in zip(futures, estimators):
@@ -1040,7 +1075,9 @@ class EstimationService:
             self._finish_ok(
                 future, estimate, started_at, batch_size, elapsed
             )
-            breaker.record(elapsed, ok=not self._missed(future))
+            breaker.record(
+                elapsed, ok=not self._missed(future, self._clock())
+            )
 
     def _finish_ok(
         self,
@@ -1050,7 +1087,8 @@ class EstimationService:
         batch_size: int,
         run_seconds: float,
     ) -> None:
-        missed = self._missed(future)
+        now = self._clock()
+        missed = self._missed(future, now)
         if self._memo is not None and future.result_key is not None:
             # Memoize *before* detaching followers: a request submitted
             # in the gap either found this future in flight (and rides
@@ -1066,6 +1104,7 @@ class EstimationService:
             degraded_reason=None,
             batch_size=batch_size,
             started_at=started_at,
+            now=now,
         )
         for follower in self._pop_followers(future):
             self._resolve(
@@ -1073,10 +1112,11 @@ class EstimationService:
                 estimate,
                 status="ok",
                 ladder_level=0,
-                deadline_missed=self._missed(follower),
+                deadline_missed=self._missed(follower, now),
                 degraded_reason=None,
                 batch_size=batch_size,
                 started_at=started_at,
+                now=now,
             )
 
     # ------------------------------------------------------------------
@@ -1112,11 +1152,9 @@ class EstimationService:
             return "predicted"
         return None
 
-    def _missed(self, future: ServiceFuture) -> bool:
-        return (
-            future.deadline_at is not None
-            and self._clock() > future.deadline_at
-        )
+    @staticmethod
+    def _missed(future: ServiceFuture, now: float) -> bool:
+        return future.deadline_at is not None and now > future.deadline_at
 
     def _resolve_degraded(
         self,
@@ -1131,15 +1169,17 @@ class EstimationService:
         self._count(
             f"service.degraded_by.{future.request.method}.{reason}"
         )
+        now = self._clock()
         self._resolve(
             future,
             estimate,
             status="degraded",
             ladder_level=level,
-            deadline_missed=self._missed(future),
+            deadline_missed=self._missed(future, now),
             degraded_reason=reason,
             batch_size=batch_size,
             started_at=started_at,
+            now=now,
         )
         self._requeue_followers(future, reason)
 
@@ -1152,15 +1192,17 @@ class EstimationService:
         self._count(
             f"service.degraded_by.{future.request.method}.{reason}"
         )
+        now = self._clock()
         self._resolve(
             future,
             estimate,
             status="shed",
             ladder_level=level,
-            deadline_missed=self._missed(future),
+            deadline_missed=self._missed(future, now),
             degraded_reason=reason,
             batch_size=1,
-            started_at=self._clock(),
+            started_at=now,
+            now=now,
         )
         self._requeue_followers(future, reason)
 
@@ -1168,17 +1210,22 @@ class EstimationService:
         self,
         future: ServiceFuture,
         estimate: Estimate,
-        *,
         status: str,
         ladder_level: int,
         deadline_missed: bool,
         degraded_reason: str | None,
         batch_size: int,
         started_at: float,
+        now: float,
     ) -> None:
-        now = self._clock()
-        wait_s = max(0.0, started_at - future.enqueued_at)
-        service_s = max(0.0, now - future.enqueued_at)
+        """Answer ``future``: every response passes here.
+
+        ``now`` is the caller's clock reading at resolution; a burst
+        answered at admission passes the one reading it took.
+        """
+        enqueued_at = future.enqueued_at
+        wait_s = started_at - enqueued_at if started_at > enqueued_at else 0.0
+        service_s = now - enqueued_at if now > enqueued_at else 0.0
         request = future.request
         staleness_s: float | None = None
         applied_seq: int | None = None
@@ -1252,19 +1299,19 @@ class EstimationService:
             )
         future.resolve(
             EstimateResponse(
-                estimate=estimate,
-                status=status,
-                ladder_level=ladder_level,
-                ladder_name=LADDER[ladder_level],
-                deadline_missed=deadline_missed,
-                degraded_reason=degraded_reason,
-                wait_s=wait_s,
-                service_s=service_s,
-                batch_size=batch_size,
-                request_id=future.request.request_id,
-                routed_method=future.routed_method,
-                staleness_s=staleness_s,
-                applied_seq=applied_seq,
+                estimate,
+                status,
+                ladder_level,
+                LADDER[ladder_level],
+                deadline_missed,
+                degraded_reason,
+                wait_s,
+                service_s,
+                batch_size,
+                request.request_id,
+                future.routed_method,
+                staleness_s,
+                applied_seq,
             )
         )
 

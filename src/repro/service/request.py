@@ -123,13 +123,22 @@ class EstimateRequest:
                 if key != "seed"
             )
         )
-        return (
+        signature = (
             self.method,
             self.ancestors.fingerprint,
             self.descendants.fingerprint,
             self.workspace,
             config,
         )
+        try:
+            hash(signature)
+        except TypeError as error:
+            raise ServiceError(
+                f"request {self.request_id} cannot be queued: its "
+                f"workspace or configuration {self.config!r} is "
+                f"unhashable ({error})"
+            ) from None
+        return signature
 
     def result_key(self) -> tuple[Any, ...] | None:
         """Content key for result memoization, or None when uncacheable.
@@ -139,20 +148,26 @@ class EstimateRequest:
         answer a repeat from its result cache with a bit-identical value.
         Deterministic estimators (no ``seed`` parameter consumed) are
         always cacheable.  An *unseeded* stochastic request draws fresh
-        OS entropy per call and must never be memoized.
+        OS entropy per call and must never be memoized.  A key that
+        cannot be hashed is None too: numpy seeds from a sequence, so a
+        request with ``seed=[1, 2]`` is valid and is answered unmemoized.
         """
         if self.method in _STOCHASTIC_METHODS and (
             self.config.get("seed") is None
         ):
             return None
-        config = tuple(sorted(self.config.items()))
-        return (
+        key = (
             self.method,
             self.ancestors.fingerprint,
             self.descendants.fingerprint,
             self.workspace,
-            config,
+            tuple(sorted(self.config.items())),
         )
+        try:
+            hash(key)
+        except TypeError:
+            return None
+        return key
 
 
 #: Methods whose estimate depends on an RNG stream; everything else is a
@@ -280,9 +295,14 @@ class ServiceFuture:
         self.request = request
         # The memo key is derived once here, in the submitting thread;
         # the batch signature is derived lazily on first use — a request
-        # answered from the result memo never needs one.
+        # answered from the result memo never needs one.  A request
+        # without a key always queues, so its signature is derived (and
+        # an unhashable configuration refused) here, before the engine
+        # registers anything for it.
         self._signature: tuple[Any, ...] | None = None
         self.result_key = request.result_key()
+        if self.result_key is None:
+            self._signature = request.batch_signature()
         #: Set by the engine when this future is the in-flight lead for
         #: its result key: duplicates submitted while it runs are
         #: appended here instead of queued, and resolved with its

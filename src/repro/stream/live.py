@@ -29,11 +29,12 @@ the service answers live reads from the snapshot's node sets, so
 serving never builds them.
 
 Batches apply whole or not at all.  ``ingest`` rejects a mutation whose
-element or replacement lies outside the workspace before the batch is
-queued; a batch that fails while applying (a delete of a non-live
-element, a duplicate insert) is undone, ``applied_seq`` moves past it,
-``stats()["rejected_batches"]`` counts it and the
-:class:`~repro.core.errors.StreamError` names its sequence number.
+element or replacement has a code that is not a number, or lies outside
+the workspace, before the batch is queued; a batch that fails while
+applying (a delete of a non-live element, a duplicate insert) is undone,
+``applied_seq`` moves past it, ``stats()["rejected_batches"]`` counts it
+and the :class:`~repro.core.errors.StreamError` names its sequence
+number.
 
 Writes are *fingerprint bumps*: summary and index caches key on the
 node-set content fingerprint, so a mutation gives the tag a new
@@ -57,6 +58,7 @@ every live response.
 
 from __future__ import annotations
 
+import numbers
 import threading
 import time
 import zlib
@@ -91,6 +93,24 @@ def _outside(what: str, element: Element, workspace: Workspace) -> StreamError:
         f"{what} element ({element.start}, {element.end}) outside "
         f"workspace {tuple(workspace)}"
     )
+
+
+def _check_codes(what: str, element: Element) -> None:
+    """Refuse an element whose region code is not a real number.
+
+    The workspace-bounds check compares codes with ints, which raises an
+    untyped ``TypeError`` for a string.  Callers skip this for two int
+    codes; any other real number (a float, a numpy scalar) goes on to
+    the bounds check and then to the int64 buffers, which refuse what
+    they cannot hold.
+    """
+    for code in (element.start, element.end):
+        if not isinstance(code, numbers.Real):
+            raise StreamError(
+                f"{what} element ({element.start!r}, {element.end!r}) "
+                f"under tag {element.tag!r} has a region code that is "
+                f"not a number: {type(code).__name__}"
+            )
 
 
 def _not_int64(element: Element, tag: str, error: Exception) -> StreamError:
@@ -293,6 +313,8 @@ class LiveWorkspace:
         self.estimates_served = 0
         lo, hi = self.workspace
         for element in elements:
+            if type(element.start) is not int or type(element.end) is not int:
+                _check_codes("bootstrap", element)
             if not (lo <= element.start and element.end <= hi):
                 raise _outside("bootstrap", element, self.workspace)
             state = self._state(element.tag)
@@ -362,12 +384,16 @@ class LiveWorkspace:
                 )
             # Checked inline, not through a helper: every write passes here.
             element = mutation.element
+            if type(element.start) is not int or type(element.end) is not int:
+                _check_codes("mutation", element)
             if not (lo <= element.start and element.end <= hi):
                 raise _outside("mutation", element, self.workspace)
             element = mutation.replacement
-            if element is not None and not (
-                lo <= element.start and element.end <= hi
-            ):
+            if element is None:
+                continue
+            if type(element.start) is not int or type(element.end) is not int:
+                _check_codes("mutation", element)
+            if not (lo <= element.start and element.end <= hi):
                 raise _outside("mutation", element, self.workspace)
         now = self._clock()
         with self._lock:

@@ -4,6 +4,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import (
     EstimationError,
@@ -11,12 +13,14 @@ from repro.core.errors import (
     UnknownEstimatorError,
     UnknownGeneratorError,
 )
+from repro.core.nodeset import NodeSet
 from repro.estimators.bounds import (
     containment_fanout_bounds,
     refined_join_bound,
 )
 from repro.estimators.im_sampling import IMSamplingEstimator
 from repro.estimators.pl_histogram import PLHistogramEstimator
+from repro.experiments.data import get_dataset
 from repro.join import containment_join_size
 from repro.optimizer import (
     BoundGenerator,
@@ -32,7 +36,9 @@ from repro.optimizer import (
     plan_cost,
     resolve_generator,
 )
+from repro.optimizer import regret
 from repro.optimizer.regret import regret_report
+from repro.qa.oracles import _plan_bits
 from repro.service.engine import EstimationService
 
 
@@ -252,6 +258,136 @@ class TestServiceGenerator:
         assert described["generator"] == "SERVICE-PL"
         assert described["requests"] == len(chain_sets) - 1
         assert described["degraded"] == 0
+
+
+class _PerPairServiceGenerator(ServiceGenerator):
+    """The per-pair request path: no chain burst, so the planner's
+    length-1 segments ask the service for one pair at a time."""
+
+    def setup_for_query(self, state):
+        pass
+
+
+def _traffic(service):
+    """Responses, batches, and memo plus in-flight hits so far."""
+    counters = service.stats()["counters"]
+    return (
+        counters.get("service.responses", 0),
+        counters.get("service.batches", 0),
+        counters.get("service.memo_hits", 0)
+        + counters.get("service.inflight_hits", 0),
+    )
+
+
+def _plan_both(sets, workspace, services, method, config):
+    """Plan through the chain path and the per-pair path, each on its
+    own service; what each pass produced and sent."""
+    outcomes = []
+    for service, factory in zip(
+        services, (ServiceGenerator, _PerPairServiceGenerator)
+    ):
+        generator = factory(service, method, **config)
+        plan = optimize(sets, generator, workspace=workspace)
+        outcomes.append(
+            (
+                _plan_bits(plan),
+                generator.requests,
+                generator.degraded,
+                _traffic(service),
+            )
+        )
+    return outcomes
+
+
+#: Seeded configurations of the four methods perfbench ``plan`` runs.
+CHAIN_METHODS = {
+    method: regret.default_generator_specs()[method]
+    for method in ("PL", "PH", "IM", "PM")
+}
+
+
+class TestChainPathDifferential:
+    """One ``map`` per chain ≡ one ``estimate`` per pair."""
+
+    @pytest.mark.parametrize("method", sorted(CHAIN_METHODS))
+    def test_default_chains(self, method):
+        services = (EstimationService(workers=0), EstimationService(workers=0))
+        with services[0], services[1]:
+            for name, chains in regret.DEFAULT_CHAINS.items():
+                dataset = get_dataset(name, scale=0.05)
+                workspace = dataset.tree.workspace()
+                for tags in chains:
+                    sets = [dataset.node_set(tag) for tag in tags]
+                    config = regret._clamped(CHAIN_METHODS[method], sets)
+                    for __ in range(2):  # cold, then from the memo
+                        chain, per_pair = _plan_both(
+                            sets, workspace, services, method, config
+                        )
+                        assert chain == per_pair, (name, tags)
+                        assert chain[1] == len(sets) - 1
+                        assert chain[2] == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        indices=st.lists(
+            st.integers(0, 4), min_size=2, max_size=6
+        ),
+        method=st.sampled_from(sorted(CHAIN_METHODS)),
+    )
+    def test_generated_chains(self, xmark_small, indices, method):
+        """Chains of 2-6 sets drawn from a pool with an empty set, so
+        empty and repeated sets appear anywhere, interior ones too."""
+        pool = [
+            xmark_small.node_set(tag)
+            for tag in ("parlist", "listitem", "text", "bold")
+        ] + [NodeSet([])]
+        sets = [pool[i] for i in indices]
+        config = regret._clamped(CHAIN_METHODS[method], sets)
+        services = (EstimationService(workers=0), EstimationService(workers=0))
+        with services[0], services[1]:
+            for __ in range(2):
+                chain, per_pair = _plan_both(
+                    sets, xmark_small.tree.workspace(), services, method,
+                    config,
+                )
+                assert chain == per_pair
+
+    def test_repeated_pair_follows_in_flight(self, xmark_small):
+        """``a // a // a`` asks one pair twice: the chain burst answers
+        the repeat as an in-flight follower, the per-pair path from the
+        memo."""
+        sets = [xmark_small.node_set("listitem")] * 3
+        services = (EstimationService(workers=0), EstimationService(workers=0))
+        with services[0], services[1]:
+            chain, per_pair = _plan_both(
+                sets, xmark_small.tree.workspace(), services, "PL",
+                {"num_buckets": 8},
+            )
+            counters = [service.stats()["counters"] for service in services]
+        assert chain == per_pair
+        assert counters[0].get("service.inflight_hits", 0) == 1
+        assert counters[0].get("service.memo_hits", 0) == 0
+        assert counters[1].get("service.inflight_hits", 0) == 0
+        assert counters[1].get("service.memo_hits", 0) == 1
+
+    def test_one_map_call_per_pass(self, chain_sets, workspace):
+        calls = []
+        with EstimationService(workers=0) as service:
+            real_map = service.map
+
+            def counting_map(requests, timeout=None):
+                calls.append([r.ancestors.name for r in requests])
+                return real_map(requests, timeout)
+
+            service.map = counting_map
+            generator = service.cardinality_generator("PL", num_buckets=8)
+            state = PlanningState(tuple(chain_sets), workspace=workspace)
+            generator.setup_for_query(state)
+            generator.setup_for_query(state)  # idempotent: asks nothing
+            optimize(chain_sets, generator, workspace=workspace)
+        names = [s.name for s in chain_sets[:-1]]
+        assert calls == [names, names]
+        assert generator.requests == 2 * len(names)
 
 
 class TestPlanWireSchema:

@@ -221,8 +221,15 @@ class TestSummaryCacheDifferential:
         reference = _ReferenceCache(maxsize)
         for __ in range(400):
             op = rng.choices(
-                ("get_or_build", "put", "peek", "invalidate", "clear"),
-                weights=(8, 4, 4, 3, 0.2),
+                (
+                    "get_or_build",
+                    "put",
+                    "peek",
+                    "peek_many",
+                    "invalidate",
+                    "clear",
+                ),
+                weights=(8, 4, 4, 3, 3, 0.2),
             )[0]
             if op == "get_or_build":
                 key, value = _random_key(rng), _random_value(rng)
@@ -237,6 +244,14 @@ class TestSummaryCacheDifferential:
                 assert cache.peek(key, "absent") == reference.peek(
                     key, "absent"
                 )
+            elif op == "peek_many":
+                # Keys repeat within a call; the reference peeks them
+                # one at a time.
+                pool = [_random_key(rng) for __ in range(rng.randrange(1, 4))]
+                keys = [rng.choice(pool) for __ in range(rng.randrange(7))]
+                assert cache.peek_many(keys, "absent") == [
+                    reference.peek(key, "absent") for key in keys
+                ]
             elif op == "invalidate":
                 fingerprint = rng.choice(FINGERPRINTS + ("clipped", "nope"))
                 assert cache.invalidate_fingerprint(
@@ -246,6 +261,29 @@ class TestSummaryCacheDifferential:
                 cache.clear()
                 reference.clear()
             self._check(cache, reference)
+
+    def test_peek_many_records_the_obs_counters_of_single_peeks(self):
+        from repro import obs
+
+        def filled():
+            cache = SummaryCache(maxsize=4)
+            for i in range(4):
+                cache.put(("summary", f"fp-{i}"), i)
+            return cache
+
+        keys = [("summary", f"fp-{i}") for i in (3, 9, 3, 0, 7, 1)]
+        many, single = filled(), filled()
+        with obs.observe() as registry:
+            assert many.peek_many(keys) == [3, None, 3, 0, None, 1]
+        with obs.observe() as reference:
+            for key in keys:
+                single.peek(key)
+        assert registry.counters() == reference.counters()
+        assert registry.counters() == {"cache.hits": 4, "cache.misses": 2}
+        assert list(many._data) == list(single._data)
+        with obs.observe() as registry:
+            assert many.peek_many([]) == []
+        assert registry.counters() == {}
 
     def test_index_is_built_by_the_first_invalidation_only(self):
         cache = SummaryCache()

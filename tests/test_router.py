@@ -267,6 +267,42 @@ class TestDeterminism:
         a, d = _operands(xmark_small)
         assert _serve_trace(a, d, workers) == _serve_trace(a, d, 0)
 
+    def test_map_routes_each_memo_hit_after_the_last(self, xmark_small):
+        """Within a ``map`` burst, a memo hit's feedback record reaches
+        the router before the next request routes, as it does between
+        separate ``estimate`` calls."""
+        a, d = _operands(xmark_small)
+        candidates = {"PL": {"num_buckets": 8}, "PH": {"num_cells": 5}}
+        exact = float(containment_join_size(a, d))
+
+        def trace(use_map):
+            store = FeedbackStore()
+            store.observe_truth(a, d, exact)
+            router = UCB1Router(candidates, seed=7)
+            with repro.serve(
+                workers=0, router=router, feedback=store
+            ) as service:
+                for __ in range(2):  # both arms computed and memoized
+                    service.estimate(a, d, "PL", num_buckets=8)
+                if use_map:
+                    request = EstimateRequest(
+                        a, d, "PL", config={"num_buckets": 8}
+                    )
+                    responses = service.map([request] * 6)
+                else:
+                    responses = [
+                        service.estimate(a, d, "PL", num_buckets=8)
+                        for __ in range(6)
+                    ]
+                hits = service.stats()["counters"]["service.memo_hits"]
+            routes = [(r.routed_method, r.estimate.value) for r in responses]
+            return routes, hits
+
+        mapped, sequential = trace(True), trace(False)
+        assert mapped == sequential
+        assert mapped[1] == 6
+        assert len({method for method, __ in mapped[0]}) == 2
+
     def test_snapshot_merge_reordering_invariant(self, xmark_small):
         """choose() is identical on any merge order of worker stores."""
         a, d = _operands(xmark_small)

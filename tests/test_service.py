@@ -394,6 +394,69 @@ class TestMemoizationAndDedup:
         assert counters.get("service.inflight_hits", 0) == 0
 
 
+class TestBurstAdmission:
+    """A burst is admitted whole: every key is derived before any lead
+    registers, and a key no dict can hold is answered unmemoized."""
+
+    def test_list_seed_in_a_burst_leaves_no_dead_lead(self, figure1_tree):
+        good = _request(figure1_tree, config={"num_samples": 10, "seed": 1})
+        bad = _request(
+            figure1_tree, config={"num_samples": 10, "seed": [1, 2]}
+        )
+        with EstimationService(workers=0) as service:
+            responses = service.map([good, bad], timeout=30.0)
+            assert [r.status for r in responses] == ["ok", "ok"]
+            assert service._inflight == {}
+            again = service.estimate(
+                *figure1_tree, "IM", num_samples=10, seed=1, timeout=5.0
+            )
+            counters = service.stats()["counters"]
+        assert again.status == "ok"
+        assert again.estimate.value == responses[0].estimate.value
+        assert counters.get("service.memo_hits", 0) == 1
+
+    def test_list_seed_matches_direct_unmemoized(self, xmark_small):
+        a = xmark_small.node_set("listitem")
+        d = xmark_small.node_set("text")
+        expected = api.estimate(a, d, "IM", num_samples=20, seed=[1, 2])
+        with EstimationService(workers=0) as service:
+            values = [
+                service.estimate(
+                    a, d, "IM", num_samples=20, seed=[1, 2], timeout=30.0
+                ).estimate.value
+                for __ in range(2)
+            ]
+            counters = service.stats()["counters"]
+            memo_size = service.stats()["memo"]["size"]
+        assert values == [expected.value, expected.value]
+        assert counters.get("service.memo_hits", 0) == 0
+        assert counters.get("service.inflight_hits", 0) == 0
+        assert memo_size == 0
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"num_samples": [10], "seed": 1},
+            {"num_samples": [10]},  # unseeded: no memo key at all
+            {"num_samples": [10], "seed": [1, 2]},
+        ],
+    )
+    def test_unhashable_config_raises_typed(self, figure1_tree, config):
+        good = _request(figure1_tree, config={"num_samples": 10, "seed": 1})
+        bad = _request(figure1_tree, config=config)
+        with EstimationService(workers=0) as service:
+            with pytest.raises(ServiceError, match="unhashable"):
+                service.map([good, bad], timeout=30.0)
+            with pytest.raises(ServiceError, match="unhashable"):
+                service.submit(request=bad)
+            assert service._inflight == {}
+            assert service.stats()["queue_depth"] == 0
+            response = service.estimate(
+                *figure1_tree, "IM", num_samples=10, seed=1, timeout=5.0
+            )
+        assert response.status == "ok"
+
+
 class TestDegradation:
     def test_estimator_fault_degrades_to_bound(self, figure1_tree):
         with EstimationService(
@@ -489,6 +552,32 @@ class TestDegradation:
         assert response.degraded_reason == "predicted"
         # Degraded pre-emptively, so the deadline itself was kept.
         assert not response.deadline_missed
+
+    def test_chain_deadline_counts_from_admission(self, xmark_small):
+        """A planned chain's pairs are admitted together: with a deadline
+        between one and two pair latencies, the first pair answers and
+        the later pairs degrade instead of stalling the pass."""
+        clock = _FakeClock()
+        sets = [
+            xmark_small.node_set(tag)
+            for tag in ("desp", "parlist", "listitem", "text")
+        ]
+        with EstimationService(
+            workers=0,
+            estimator_factory=_SlowFactory(0.05, clock=clock),
+            clock=clock,
+        ) as service:
+            generator = service.cardinality_generator(
+                "IM", deadline_s=0.075, num_samples=10, seed=3
+            )
+            repro.optimize(
+                sets, generator, workspace=xmark_small.tree.workspace()
+            )
+            stats = service.stats()
+        assert generator.requests == 3
+        assert generator.degraded == 2
+        assert stats["degraded_by"] == {"IM": {"predicted": 2}}
+        assert stats["counters"]["service.deadline_miss"] == 0
 
     def test_every_stressed_request_is_answered(self, figure1_tree):
         requests = [

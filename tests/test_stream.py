@@ -285,6 +285,38 @@ class TestBatchAtomicity:
         with pytest.raises(StreamError, match="bootstrap element"):
             LiveWorkspace(Workspace(0, 50), elements=[Element("a", 40, 60)])
 
+    def test_string_codes_fail_bootstrap_typed(self):
+        """``Element("a", "1", "2")`` passes its own ``start < end``
+        check; the workspace-bounds check must not be what refuses it."""
+        with pytest.raises(StreamError, match="not a number: str"):
+            LiveWorkspace(Workspace(0, 100), elements=[Element("a", "1", "2")])
+
+    @pytest.mark.parametrize(
+        "mutation",
+        [
+            pytest.param(
+                Mutation("insert", Element("b", "3", "4")), id="insert"
+            ),
+            pytest.param(
+                Mutation(
+                    "update", Element("a", 1, 10), Element("a", "3", "4")
+                ),
+                id="update-replacement",
+            ),
+        ],
+    )
+    def test_string_codes_rejected_before_queue(self, mutation):
+        live = self._live()
+        live.ingest([Mutation("insert", Element("a", 21, 30))])
+        before = (_population(live), _fingerprints(live))
+        with pytest.raises(StreamError, match="not a number: str"):
+            live.ingest([Mutation("delete", Element("a", 11, 20)), mutation])
+        assert live.pending_batches == 1
+        assert (live.ingest_seq, live.applied_seq) == (1, 0)
+        assert (_population(live), _fingerprints(live)) == before
+        assert live.apply_pending() == 1
+        assert _population(live) == {"a": [(1, 10), (11, 20), (21, 30)]}
+
     #: Region codes an int64 buffer cannot hold, each in a workspace
     #: that admits it.
     NOT_INT64 = [
