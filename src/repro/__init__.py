@@ -86,7 +86,7 @@ from repro.api import (
     use_kernel_backend,
 )
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "CardinalityGenerator",

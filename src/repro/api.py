@@ -6,7 +6,7 @@ needs without touching package internals:
 * :func:`estimate` — one containment join size estimate by method name;
 * :func:`build_catalog` — budgeted per-tag synopses for plan-time
   estimation over a whole document;
-* :func:`serve` — a concurrent micro-batching estimation front-end
+* :func:`serve` — a micro-batching estimation front-end
   (:class:`EstimationService`) with per-request deadlines, graceful
   degradation and load shedding, for callers that issue many requests
   (an optimizer costing candidate plans) rather than one;
@@ -362,7 +362,9 @@ def serve(
     seeded requests are answered from a result memo, and a request with
     a ``deadline_s`` always gets *an* answer — degraded down the
     catalog/bound ladder instead of erroring when the deadline cannot be
-    met.  Use it as a context manager::
+    met.  It runs in its callers' threads: a caller waiting on a request
+    executes queued batches itself, and several client threads may
+    share one service.  Use it as a context manager::
 
         with repro.serve(catalog=catalog) as service:
             response = service.estimate(
@@ -390,9 +392,10 @@ def serve(
             router is attached.
         correction: optional fitted :class:`CorrectionModel` applied as
             a post-multiplier to full-fidelity answers.
-        **options: forwarded to :class:`EstimationService` — ``workers``
-            (0 = caller-runs, the embedded-optimizer mode), ``max_batch``,
-            ``queue_size``, ``memoize``, breaker tuning, caches.
+        **options: forwarded to :class:`EstimationService` —
+            ``max_batch``, ``queue_size``, ``memoize``, breaker tuning,
+            caches.  ``workers`` defaults to and accepts only 0 (3.0.0
+            removed the worker pool).
     """
     return EstimationService(
         catalog=catalog,

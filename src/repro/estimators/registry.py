@@ -133,8 +133,13 @@ def canonical_name(name: str) -> str:
     Raises :class:`UnknownEstimatorError` for unknown names, listing the
     available names and *every* close candidate — an ambiguous fragment
     is reported with all of its near matches rather than silently
-    resolved to an arbitrary one.
+    resolved to an arbitrary one.  A name that is not a string raises it
+    too, with no candidates.
     """
+    if not isinstance(name, str):
+        raise UnknownEstimatorError(
+            name, (), f"estimator name must be a string, got {name!r}"
+        )
     key = name.strip().upper()
     key = _ALIASES.get(key, key)
     if key in _REGISTRY:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Any, Iterator, Mapping, TYPE_CHECKING
+from typing import Any, Iterator, TYPE_CHECKING
 from contextlib import contextmanager
 
 from repro.obs.metrics import MetricsRegistry, Timer
@@ -228,26 +228,6 @@ def record_query(
                 "estimates": estimates,
             }
         )
-
-
-def record_service(
-    counters: Mapping[str, int] | None = None,
-    histograms: Mapping[str, float] | None = None,
-) -> None:
-    """Mirror estimation-service metrics into the ambient registry.
-
-    The service keeps its own always-on registry (its ``stats()``
-    endpoint); while observation is enabled the same ``service.*`` names
-    are recorded ambiently so obs-report and telemetry summaries include
-    the serving layer.  Call sites guard with :func:`enabled`.
-    """
-    registry = _registry
-    if counters:
-        for name, amount in counters.items():
-            registry.counter(name).inc(amount)
-    if histograms:
-        for name, value in histograms.items():
-            registry.histogram(name).observe(value)
 
 
 def emit(record: dict[str, Any]) -> None:

@@ -287,8 +287,8 @@ class ServiceGenerator(PairwiseGenerator):
     chain's early pairs use up the budget, its later pairs degrade.
 
     Args:
-        service: the running service (``workers=0`` caller-runs mode
-            works and is the embedded-optimizer shape).
+        service: the running service; the planner's thread runs the
+            chain's requests itself (caller-runs).
         method: estimator name forwarded to the service.
         deadline_s: per-request deadline, or None for full fidelity.
         **config: estimator configuration forwarded with each request.

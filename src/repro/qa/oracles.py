@@ -450,7 +450,6 @@ def check_service_vs_direct(case: Case) -> None:
             deadline_s=1e-9,
             **method_config("IM", case),
         )
-        service.help_drain((future,))
         degraded = future.result(timeout=60.0)
     if degraded.status not in ("degraded", "shed"):
         _fail(

@@ -1,8 +1,9 @@
-"""Estimation service: a concurrent, deadline-aware serving front-end.
+"""Estimation service: a deadline-aware serving front-end.
 
 The package's estimators answer one call at a time; this subsystem
-serves them the way an optimizer consumes them — many concurrent
-requests, repeated configurations, per-request latency budgets.  See
+serves them the way an optimizer consumes them — many requests, from
+one or several client threads, repeated configurations, per-request
+latency budgets — in the callers' own threads.  See
 :class:`EstimationService` for the mechanism inventory (micro-batching,
 result memoization, deadlines with graceful degradation, load shedding,
 circuit breaking); ``perfbench/`` measures it on the ``plan`` and

@@ -187,25 +187,59 @@ class TestPublicSurface:
         assert match.group(1) == repro.__version__
 
 
+def _package_nodes():
+    """Every AST node of every module under src/repro, with the module's
+    path relative to the package."""
+    package = Path(repro.__file__).resolve().parent
+    for path in sorted(package.rglob("*.py")):
+        module = path.relative_to(package).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            yield module, node
+
+
+def _imported_names(node):
+    """The dotted names an import statement names (empty otherwise)."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        module = node.module or ""
+        return [module] + [f"{module}.{alias.name}" for alias in node.names]
+    return []
+
+
 class TestOneProcess:
     def test_no_module_imports_multiprocessing(self):
         """The package runs in one process: no module under src/repro
         imports multiprocessing (shared memory, pools, forks)."""
-        package = Path(repro.__file__).resolve().parent
-        importers = []
-        for path in sorted(package.rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(node, ast.Import):
-                    names = [alias.name for alias in node.names]
-                elif isinstance(node, ast.ImportFrom):
-                    names = [node.module or ""]
-                else:
-                    continue
-                if any(
-                    name.split(".")[0] == "multiprocessing" for name in names
-                ):
-                    importers.append(path.relative_to(package).as_posix())
+        importers = [
+            module
+            for module, node in _package_nodes()
+            if any(
+                name.split(".")[0] == "multiprocessing"
+                for name in _imported_names(node)
+            )
+        ]
         assert importers == []
+
+    def test_no_module_starts_a_thread(self):
+        """The package runs in its callers' threads: no module under
+        src/repro uses threading.Thread, threading.Timer or
+        concurrent.futures."""
+        starters = {"threading.Thread", "threading.Timer"}
+        found = []
+        for module, node in _package_nodes():
+            names = _imported_names(node)
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+            ):
+                names = [f"{node.value.id}.{node.attr}"]
+            if any(
+                name in starters or name.split(".")[0] == "concurrent"
+                for name in names
+            ):
+                found.append(module)
+        assert found == []
 
 
 class TestModuleResolution:

@@ -232,20 +232,18 @@ class TestSelection:
 
 
 # ----------------------------------------------------------------------
-# Determinism across workers and merge order
+# Determinism across runs and merge order
 # ----------------------------------------------------------------------
 
 
-def _serve_trace(a, d, workers, rounds=10, router_seed=0):
+def _serve_trace(a, d, rounds=10, router_seed=0):
     """One trace through the service; the routed-method sequence."""
     candidates = _seeded_candidates(a, d)
     store = FeedbackStore()
     store.observe_truth(a, d, float(containment_join_size(a, d)))
     router = UCB1Router(candidates, seed=router_seed)
     routed = []
-    with repro.serve(
-        workers=workers, router=router, feedback=store, memoize=False
-    ) as service:
+    with repro.serve(router=router, feedback=store, memoize=False) as service:
         for __ in range(rounds):
             response = service.estimate(
                 a, d, "IM", **candidates["IM"]
@@ -259,13 +257,7 @@ def _serve_trace(a, d, workers, rounds=10, router_seed=0):
 class TestDeterminism:
     def test_identical_runs_identical_decisions(self, xmark_small):
         a, d = _operands(xmark_small)
-        assert _serve_trace(a, d, 0) == _serve_trace(a, d, 0)
-
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_worker_count_independent(self, xmark_small, workers):
-        """workers=K serves the same routes and values as workers=0."""
-        a, d = _operands(xmark_small)
-        assert _serve_trace(a, d, workers) == _serve_trace(a, d, 0)
+        assert _serve_trace(a, d) == _serve_trace(a, d)
 
     def test_map_routes_each_memo_hit_after_the_last(self, xmark_small):
         """Within a ``map`` burst, a memo hit's feedback record reaches
