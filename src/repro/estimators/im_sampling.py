@@ -17,9 +17,10 @@ three interchangeable backends (Section 5.3.1): the rank oracle (two
 binary searches), the T-tree and the XR-tree.  All three probe through
 the fused kernels of :func:`repro.kernels.fused.stab_sum_max`: with an
 ambient :class:`~repro.perf.IndexCache` the whole probe is one gather
-from the cached stab-count table, and even cold it runs straight off
-the operand arena with no index object built — the paper's structures
-are rebuilt per call only under :func:`repro.perf.reference_kernels`.
+from the pair's stab-count table, built on the pair's second probe; a
+first probe, and every probe without a cache, runs straight off the
+operand arena with no index object built — the paper's structures are
+rebuilt per call only under :func:`repro.perf.reference_kernels`.
 """
 
 from __future__ import annotations

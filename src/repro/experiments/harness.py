@@ -250,8 +250,9 @@ def evaluate(
 
     Args:
         cache: summary cache installed (ambiently) around the sweep;
-            histogram-based methods then build each summary once per
-            distinct (node set, workspace, configuration).
+            histogram-based methods then build each summary at most
+            twice per distinct (node set, workspace, configuration) —
+            the cache stores it on its second miss.
         index_cache: probe-index cache installed around the sweep for
             the sampling methods (and the exact-size memo).  When
             omitted and no ambient one is active, a private cache is

@@ -68,7 +68,8 @@ def run_bucket_sweep(
 
     One summary cache (created here unless supplied) spans the whole
     bucket sweep, so a tag appearing in several queries has its summary
-    built once per bucket count rather than once per query.
+    built at most twice per bucket count (the cache stores it on its
+    second miss) rather than once per query.
     """
     dataset = get_dataset(dataset_name, scale=scale)
     if queries is None:

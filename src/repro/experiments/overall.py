@@ -61,8 +61,9 @@ def run_overall(
     Returns one :class:`OverallResult` per budget (default: the paper's
     200/400/800 bytes, i.e. panels (a)-(c) of Figure 5 or 6).  One
     summary cache (created here unless supplied) spans every budget, so
-    the histogram methods build each per-budget summary exactly once
-    across the whole sweep.
+    the histogram methods build each per-budget summary at most twice
+    across the whole sweep: the cache stores a summary on its second
+    miss and serves it from then on.
     """
     if not budgets:
         budgets = paper_budgets()

@@ -4,7 +4,8 @@ The package splits the sampling estimators' hot path into three layers:
 
 * :mod:`repro.kernels.arena` — the structure-of-arrays operand layout
   (:class:`OperandArena`) shared between the local probe path and the
-  binary wire format, plus the content-keyed stab-count table;
+  binary wire format, plus the content-keyed stab-count table, built
+  on an operand pair's second probe under an index cache;
 * :mod:`repro.kernels.backend` — the backend registry:
   :func:`set_kernel_backend` switches between the always-present numpy
   implementation and the optional numba one (a soft dependency with

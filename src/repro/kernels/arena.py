@@ -11,24 +11,26 @@ is what a local kernel reads from the arena.
 
 Arenas are cheap views, not copies: every array is the node set's own
 cached view (:attr:`NodeSet.starts`, :attr:`NodeSet.sorted_ends`,
-:attr:`NodeSet.turning_points_arrays`), materialized lazily, so an
-arena costs nothing until a kernel touches a field.  Content-keyed
-sharing happens at two levels:
+:attr:`NodeSet.turning_points_arrays`, and the padded turning points
+:meth:`OperandArena.turning_points` caches on the node set), materialized
+lazily, so an arena costs nothing until a kernel touches a field.
+Without a cache, :func:`operand_arena` wraps the node set afresh on
+every call: the arena references its node set and nothing references
+the arena, so an operand is freed by reference counting the moment its
+last user lets go.  With an :class:`~repro.perf.IndexCache`, the arena
+is a cache entry under ``("arena", fingerprint)`` once its key recurs:
+distinct NodeSet objects with equal content (service requests, decoded
+wire operands) then share one arena, with the cache's byte accounting
+and obs counters.
 
-* **object level** — without a cache, :func:`operand_arena` memoizes
-  the arena on the node set itself, so every estimator probing the same
-  object reuses one arena;
-* **content level** — with an :class:`~repro.perf.IndexCache`, the
-  arena is a cache entry under ``("arena", fingerprint)``: distinct
-  NodeSet objects with equal content (service requests, decoded wire
-  operands) share one arena, with the cache's byte accounting and obs
-  counters.
-
-The arena also hosts the *stab-count table*: the stabbing counts of
+This module also hosts the *stab-count table*: the stabbing counts of
 every descendant start against an ancestor set, keyed by both operand
 fingerprints.  IM/SYS/SEMI-D probe points are always gathered from the
 descendant start array, so with the table warm a probe is a pure table
-gather — no binary search at all.  See :mod:`repro.kernels.fused`.
+gather — no binary search at all.  The table is built on a pair's second
+probe under a cache and gathered from on every later one; the first
+probe takes the direct searchsorted path.  See
+:mod:`repro.kernels.fused`.
 """
 
 from __future__ import annotations
@@ -50,11 +52,10 @@ OPERAND_FIELDS = ("starts", "ends", "sorted_ends")
 class OperandArena:
     """Lazy structure-of-arrays view over one node set's probe inputs."""
 
-    __slots__ = ("node_set", "_tp_padded")
+    __slots__ = ("node_set",)
 
     def __init__(self, node_set: NodeSet) -> None:
         self.node_set = node_set
-        self._tp_padded: tuple[np.ndarray, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return len(self.node_set)
@@ -82,16 +83,18 @@ class OperandArena:
         covering count at and after ``keys[i]``, so the floor lookup for
         a batch of positions is ``padded_values[searchsorted(keys, p,
         'right')]`` with no mask: a position before every turning point
-        indexes the pad and counts 0.
+        indexes the pad and counts 0.  Cached on the node set, like
+        every view the arena serves.
         """
-        cached = self._tp_padded
+        state = self.node_set.__dict__
+        cached = state.get("_tp_padded")
         if cached is None:
             keys, values = self.node_set.turning_points_arrays
             padded = np.empty(values.shape[0] + 1, dtype=np.int64)
             padded[0] = 0
             padded[1:] = values
             padded.setflags(write=False)
-            cached = self._tp_padded = (keys, padded)
+            cached = state["_tp_padded"] = (keys, padded)
         return cached
 
     def wire_fields(self) -> Mapping[str, np.ndarray]:
@@ -129,7 +132,7 @@ class OperandArena:
         sorted_ends = views.get("sorted_ends")
         if sorted_ends is not None:
             node_set.__dict__["sorted_ends"] = sorted_ends
-        return operand_arena(node_set)
+        return cls(node_set)
 
 
 def operand_arena(
@@ -137,25 +140,23 @@ def operand_arena(
 ) -> OperandArena:
     """The arena for ``node_set`` — content-shared when a cache is given.
 
-    With a cache, the arena lives under ``("arena", fingerprint)`` so
-    equal-content node sets share one; every access goes through the
-    cache to keep its hit/miss accounting (and LRU order) meaningful.
-    Without a cache the arena is memoized on the object itself, so
-    repeated probes of the same set resolve in one attribute read.
+    With a cache, the arena lives under ``("arena", fingerprint)`` once
+    its key recurs, so equal-content node sets share one; every access
+    goes through the cache to keep its hit/miss accounting (and LRU
+    order) meaningful.  Without a cache the arena is a fresh wrapper:
+    its fields are the node set's own cached views, so nothing is
+    recomputed, and nothing on the node set points back at the arena.
     """
     if cache is not None:
         return cache.arena(node_set)
-    arena = node_set.__dict__.get("_operand_arena")
-    if arena is None:
-        arena = OperandArena(node_set)
-        node_set.__dict__["_operand_arena"] = arena
-    return arena
+    return OperandArena(node_set)
 
 
 def stab_count_table(
-    ancestors: NodeSet, descendants: NodeSet, cache: "IndexCache"
-) -> np.ndarray:
-    """Stab counts of every descendant start against ``ancestors``.
+    ancestors: NodeSet, descendants: NodeSet, cache: "IndexCache | None"
+) -> np.ndarray | None:
+    """Stab counts of every descendant start against ``ancestors``, or
+    None without a cache and on the pair's first probe.
 
     ``table[i]`` is the rank identity ``|{start <= p}| - |{end < p}|``
     at ``p = D.starts[i]`` — exactly :meth:`NodeSet.stab_counts`
@@ -164,13 +165,18 @@ def stab_count_table(
     SEMI-D are always draws *from* ``D.starts``, so with this table a
     probe batch is ``table[draws]`` — a gather instead of two binary
     searches per point.  Deterministic in the operand contents, hence
-    cached under both fingerprints; only built when a cache exists to
-    amortize it (a cold one-shot estimate keeps the direct searchsorted
-    path).
+    cached under both fingerprints.  The table is looked up first and
+    built only on the pair's second probe
+    (:meth:`~repro.perf.SummaryCache.get_if_reused`); a first probe
+    gets None and keeps the direct searchsorted path, so a pair probed
+    once never pays for a table over all of ``D.starts``.  The ancestor
+    arena is fetched from the cache only to build.
     """
-    a_arena = operand_arena(ancestors, cache)
+    if cache is None:
+        return None
 
     def build() -> np.ndarray:
+        a_arena = operand_arena(ancestors, cache)
         points = descendants.starts
         started = np.searchsorted(a_arena.starts, points, side="right")
         ended = np.searchsorted(a_arena.sorted_ends, points, side="left")
@@ -178,7 +184,7 @@ def stab_count_table(
         table.setflags(write=False)
         return table
 
-    return cache.get_or_build(
+    return cache.get_if_reused(
         ("stab_table", ancestors.fingerprint, descendants.fingerprint),
         build,
     )

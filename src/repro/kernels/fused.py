@@ -13,9 +13,12 @@ back across the boundary.
 Three operand tiers, fastest first:
 
 1. **stab-count table** (cache present, probe points drawn from the
-   descendant start array): the probe is a pure gather —
-   :func:`repro.kernels.arena.stab_count_table`;
-2. **direct arena kernels** (no cache): searchsorted rank identity or
+   descendant start array, and the pair probed before): the probe is a
+   pure gather — :func:`repro.kernels.arena.stab_count_table`.  The
+   table is looked up first; it is built on a pair's second probe and
+   gathered from on every later one;
+2. **direct arena kernels** (no cache, a pair's first probe under one,
+   and every PM-Est/bifocal probe): searchsorted rank identity or
    turning-point floor lookup straight off the arena views, no index
    object built at all;
 3. **reference composition** (:func:`repro.perf.reference_kernels`):
@@ -86,9 +89,10 @@ def stab_sum_max(
     counts of ``descendants.starts[indices]`` against ``ancestors``.
 
     ``indices`` is the row-major flattening of a ``rows × m`` draw
-    matrix.  With a cache the stab-count table turns the whole probe
-    into one gather regardless of ``probe_backend`` — all three probe
-    structures answer the identical query, so the table serves them all.
+    matrix.  With a cache, from the pair's second probe on, the
+    stab-count table turns the whole probe into one gather regardless
+    of ``probe_backend`` — all three probe structures answer the
+    identical query, so the table serves them all.
     """
     if m == 0:
         zeros = np.zeros(rows, dtype=np.int64)
@@ -105,16 +109,15 @@ def stab_sum_max(
         matrix = counts.reshape(rows, m)
         return matrix.sum(axis=1), matrix.max(axis=1)
     impl = _impl()
-    if cache is not None:
-        with _obs.phase_timer(name, "index_build"):
-            table = stab_count_table(ancestors, descendants, cache)
-        with _obs.phase_timer(name, "probe"):
-            return impl.gather_sum_max(table, indices, rows, m)
     with _obs.phase_timer(name, "index_build"):
-        arena = operand_arena(ancestors)
-        if probe_backend == "ttree":
-            tp_keys, tp_padded = arena.turning_points()
+        table = stab_count_table(ancestors, descendants, cache)
+        if table is None:
+            arena = operand_arena(ancestors)
+            if probe_backend == "ttree":
+                tp_keys, tp_padded = arena.turning_points()
     with _obs.phase_timer(name, "probe"):
+        if table is not None:
+            return impl.gather_sum_max(table, indices, rows, m)
         points = descendants.starts[indices]
         if probe_backend == "ttree":
             return impl.ttree_sum_max(tp_keys, tp_padded, points, rows, m)
@@ -148,14 +151,13 @@ def stab_positive(
             counts = counter.count_many(points).reshape(rows, m)
         return (counts > 0).sum(axis=1, dtype=np.int64)
     impl = _impl()
-    if cache is not None:
-        with _obs.phase_timer(name, "index_build"):
-            table = stab_count_table(ancestors, descendants, cache)
-        with _obs.phase_timer(name, "probe"):
-            return impl.gather_positive(table, indices, rows, m)
     with _obs.phase_timer(name, "index_build"):
-        arena = operand_arena(ancestors)
+        table = stab_count_table(ancestors, descendants, cache)
+        if table is None:
+            arena = operand_arena(ancestors)
     with _obs.phase_timer(name, "probe"):
+        if table is not None:
+            return impl.gather_positive(table, indices, rows, m)
         points = descendants.starts[indices]
         return impl.stab_positive(
             arena.starts, arena.sorted_ends, points, rows, m
@@ -188,14 +190,13 @@ def stab_segment_sums(
             counts = counter.count_many(points)
         return np.add.reduceat(counts, offsets)
     impl = _impl()
-    if cache is not None:
-        with _obs.phase_timer(name, "index_build"):
-            table = stab_count_table(ancestors, descendants, cache)
-        with _obs.phase_timer(name, "probe"):
-            return impl.gather_segment_sums(table, indices, offsets)
     with _obs.phase_timer(name, "index_build"):
-        arena = operand_arena(ancestors)
+        table = stab_count_table(ancestors, descendants, cache)
+        if table is None:
+            arena = operand_arena(ancestors)
     with _obs.phase_timer(name, "probe"):
+        if table is not None:
+            return impl.gather_segment_sums(table, indices, offsets)
         points = descendants.starts[indices]
         return impl.segment_sums(
             arena.starts, arena.sorted_ends, points, offsets

@@ -10,7 +10,8 @@ architecture"):
   switches the package back to the loop implementations, which is how
   the tests compare whole estimators against the spec.
 * **cache** — :class:`SummaryCache` memoizes built summaries under
-  content keys so budget/method sweeps build each one once;
+  content keys, storing each on its key's second miss, so budget/method
+  sweeps build each recurring one at most twice;
   :class:`IndexCache` does the same for the probe indexes the sampling
   estimators build (stabbing arrays, T-tree, XR-tree, start-position
   B+-tree).

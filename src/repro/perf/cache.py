@@ -3,7 +3,17 @@
 A sweep over budgets × methods × repetitions re-derives the same PL/PH/
 coverage summaries for every configuration; this module lets every
 consumer (estimators, the statistics catalog, the experiment harness)
-build each summary exactly once.
+share one build of each summary that recurs.
+
+Admission is on reuse, not on first sight (a TinyLFU-style doorkeeper):
+a key's first miss builds its value and answers without storing it, and
+only a second miss — while the key is still among the last ``maxsize``
+distinct keys that missed once — stores it.  A summary asked for once
+(a live tag whose fingerprint every write changes) therefore costs no
+insert, no eviction and no invalidation; a recurring one is built twice
+and then served.  :meth:`SummaryCache.put` stores at once, so a consumer
+computing values out-of-band (the service's result memo) keeps storing
+every answer.
 
 Keys are *content* keys: the node set contributes its
 :attr:`~repro.core.nodeset.NodeSet.fingerprint` — a digest of its region
@@ -94,8 +104,7 @@ def approx_nbytes(value: Any, depth: int = 4) -> int:
                 )
     return total
 
-#: Marks a key :meth:`SummaryCache.peek_many` did not find (a cached
-#: value may be None).
+#: Marks a key a lookup did not find (a cached value may be None).
 _ABSENT = object()
 
 #: Default number of summaries kept before LRU eviction kicks in.  A
@@ -108,7 +117,9 @@ class SummaryCache:
     """A bounded, thread-safe LRU cache for built estimator summaries.
 
     Args:
-        maxsize: entries kept before the least recently used is evicted.
+        maxsize: entries kept before the least recently used is evicted;
+            also the length of the doorkeeper window, the keys that
+            missed once and are stored if they miss again.
     """
 
     #: Prefix for the obs counters this cache records
@@ -131,6 +142,11 @@ class SummaryCache:
         self.maxsize = maxsize
         self._data: OrderedDict[Hashable, Any] = OrderedDict()
         self._sizes: dict[Hashable, int] = {}
+        # Doorkeeper: the hashes of the last ``maxsize`` distinct keys
+        # that missed once and were not stored, oldest first.  Hashes,
+        # not keys, so the window pins no fingerprint string of a dead
+        # node set; a collision only stores a key on its first miss.
+        self._window: OrderedDict[int, None] = OrderedDict()
         # String token -> resident keys mentioning it.  Built by the
         # first invalidate_fingerprint and kept current from then on,
         # so caches that are never invalidated never pay for it.
@@ -152,28 +168,78 @@ class SummaryCache:
     def get_or_build(self, key: Hashable, builder: Callable[[], T]) -> T:
         """Return the cached value for ``key``, building it on a miss.
 
-        The builder runs outside the lock, so a slow build does not block
-        other threads; if two threads race on the same missing key the
-        second build wins (both produce identical content-keyed values).
+        A first miss builds and returns the value without storing it; a
+        second miss while the key is still in the doorkeeper window
+        builds and stores it, so the third lookup hits.  The builder
+        runs outside the lock, so a slow build does not block other
+        threads; if two threads race on the same missing key the second
+        build wins (both produce identical content-keyed values).
+        """
+        value, admit = self._lookup(key)
+        if value is _ABSENT:
+            value = builder()
+            if admit:
+                self._admit(key, value)
+        return value
+
+    def get_if_reused(
+        self, key: Hashable, builder: Callable[[], T]
+    ) -> T | None:
+        """:meth:`get_or_build`, except that a first miss builds nothing.
+
+        Returns None on a key's first miss, so the caller answers by a
+        path that needs no built value (the fused kernels probe the
+        arena directly instead of gathering from a stab-count table);
+        the second miss builds and stores, and later lookups hit.
+        """
+        value, admit = self._lookup(key)
+        if value is _ABSENT:
+            if not admit:
+                return None
+            value = builder()
+            self._admit(key, value)
+        return value
+
+    def _lookup(self, key: Hashable) -> tuple[Any, bool]:
+        """``(value, admit)``: the cached value, else :data:`_ABSENT`
+        and whether the doorkeeper admits ``key`` (its second miss).
+
+        Counts the hit or miss.  A first miss enters the window,
+        pushing out its oldest key past ``maxsize``; an admitted key
+        leaves it.
         """
         with self._lock:
-            if key in self._data:
+            value = self._data.get(key, _ABSENT)
+            if value is not _ABSENT:
                 self._data.move_to_end(key)
                 self.hits += 1
-                if _obs.enabled():
-                    _obs.record_cache("hits", kind=self.metric_kind)
-                return self._data[key]
-            self.misses += 1
+                admit = False
+            else:
+                self.misses += 1
+                window = self._window
+                token = hash(key)
+                admit = token in window
+                if admit:
+                    del window[token]
+                else:
+                    window[token] = None
+                    if len(window) > self.maxsize:
+                        window.popitem(last=False)
         if _obs.enabled():
-            _obs.record_cache("misses", kind=self.metric_kind)
-        value = builder()
+            _obs.record_cache(
+                "misses" if value is _ABSENT else "hits",
+                kind=self.metric_kind,
+            )
+        return value, admit
+
+    def _admit(self, key: Hashable, value: Any) -> None:
+        """Store a value built on an admitted miss."""
         size = self._value_nbytes(value)
         evicted = self._store(key, value, size)
         if _obs.enabled():
             _obs.record_cache("built_nbytes", size, kind=self.metric_kind)
             if evicted:
                 _obs.record_cache("evictions", evicted, kind=self.metric_kind)
-        return value
 
     def peek(self, key: Hashable, default: T | None = None) -> T | None:
         """Look up ``key`` without building; counts as a hit or miss."""
@@ -229,7 +295,8 @@ class SummaryCache:
         The counterpart of :meth:`peek` for consumers that compute
         values out-of-band (the estimation service memoizes finished
         estimates this way); :meth:`get_or_build` remains the one-stop
-        path when the builder can run at lookup time.
+        path when the builder can run at lookup time.  The doorkeeper
+        does not apply: the value is stored at once.
         """
         evicted = self._store(key, value, self._value_nbytes(value))
         if _obs.enabled() and evicted:
@@ -293,7 +360,10 @@ class SummaryCache:
         call costs O(entries dropped) rather than a scan of the cache.
         Byte accounting is unaffected: entry sizes were fixed at insert
         by :func:`approx_nbytes`, which sizes a list, tuple or dict from
-        its first element and walks sets in full.
+        its first element and walks sets in full.  The doorkeeper
+        window is left alone: a key naming a dead fingerprint can only
+        miss again if equal content returns, and it then builds the
+        same value.
         """
         with self._lock:
             if self._index is None:
@@ -314,10 +384,12 @@ class SummaryCache:
         return removed
 
     def clear(self) -> None:
-        """Drop every entry and reset the hit/miss/eviction counters."""
+        """Drop every entry, empty the doorkeeper window and reset the
+        hit/miss/eviction counters."""
         with self._lock:
             self._data.clear()
             self._sizes.clear()
+            self._window.clear()
             if self._index is not None:
                 self._index.clear()
             self.hits = 0

@@ -9,8 +9,9 @@ call rebuilt its index from scratch — O(|A| log |A|) construction to
 answer m ≈ 100 probes.
 
 :class:`IndexCache` extends :class:`~repro.perf.cache.SummaryCache` — the
-same bounded LRU, thread safety, byte accounting and obs counters (here
-under ``index_cache.*``) — with the key schema for probe structures:
+same bounded LRU, thread safety, byte accounting, obs counters (here
+under ``index_cache.*``) and doorkeeper, which stores an entry on its
+key's second miss — with the key schema for probe structures:
 ``(kind, NodeSet.fingerprint, *config)`` where *kind* names the structure
 (``"stab"``, ``"ttree"``, ...) and *config* carries every constructor
 parameter that shapes it (B+-tree order, XR-tree page size).  Content

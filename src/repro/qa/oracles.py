@@ -16,7 +16,7 @@ The oracles cover the layers named in the ROADMAP's production story:
 * ``batched-vs-sequential`` — ``estimate_trials`` / ``estimate_across``
   are bit-for-bit equal to per-call ``estimate()`` streams.
 * ``cached-vs-uncached`` — ambient SummaryCache/IndexCache installation
-  never changes a value.
+  never changes a value, and a third identical call hits the cache.
 * ``service-vs-direct`` — ``repro.serve()`` answers match direct
   ``repro.api.estimate`` calls bit-for-bit, and degraded answers keep
   the ladder's invariants (always answered, flagged, bound encloses the
@@ -384,7 +384,14 @@ def check_batched_vs_sequential(case: Case, trials: int = 4) -> None:
 
 
 def check_cached_vs_uncached(case: Case) -> None:
-    """Ambient caches must never change a value, only its cost."""
+    """Ambient caches must never change a value, only its cost.
+
+    A cache stores an entry on its second miss, so the cached calls
+    run three times: the first builds without storing, the second
+    stores, and the third must hit for every method that consulted a
+    cache at all — the stored histograms and the stab-count table
+    gather are then diffed against the uncached value too.
+    """
     a, d, w = case.ancestors, case.descendants, case.workspace
     for method in available_estimators():
         config = method_config(method, case)
@@ -392,15 +399,27 @@ def check_cached_vs_uncached(case: Case) -> None:
             plain = api.estimate(a, d, method, workspace=w, **config)
         except ReproError:
             continue
-        with use_cache(SummaryCache()), use_index_cache(IndexCache()):
-            warm_cache = api.estimate(a, d, method, workspace=w, **config)
-            # Second call hits whatever the first built.
+        caches = (SummaryCache(), IndexCache())
+        with use_cache(caches[0]), use_index_cache(caches[1]):
+            cold = api.estimate(a, d, method, workspace=w, **config)
+            stored = api.estimate(a, d, method, workspace=w, **config)
+            consulted = sum(c.hits + c.misses for c in caches)
+            hits_before = sum(c.hits for c in caches)
             reheat = api.estimate(a, d, method, workspace=w, **config)
-        if warm_cache.value != plain.value or reheat.value != plain.value:
+            hits = sum(c.hits for c in caches) - hits_before
+        values = (cold.value, stored.value, reheat.value)
+        if any(value != plain.value for value in values):
             _fail(
                 "cached-vs-uncached",
                 f"{method}: uncached {plain.value!r} vs cached "
-                f"{warm_cache.value!r} / cache-hit {reheat.value!r}",
+                f"{cold.value!r} / storing {stored.value!r} / "
+                f"cache-hit {reheat.value!r}",
+            )
+        if consulted and not hits:
+            _fail(
+                "cached-vs-uncached",
+                f"{method}: {consulted} cache lookups over two calls, "
+                f"but the third call hit nothing",
             )
 
 
@@ -1124,8 +1143,9 @@ def check_fused_vs_reference(case: Case) -> None:
 
     :mod:`repro.kernels.fused` collapses every sampling estimator's
     index_build→probe→scale sequence into single-pass kernels (with a
-    table-gather tier when an :class:`IndexCache` is warm, and a
-    compiled backend when numba is installed).  The contract is
+    table-gather tier from a pair's second probe under an
+    :class:`IndexCache`, and a compiled backend when numba is
+    installed).  The contract is
     bit-for-bit: for every sampling method, every probe backend the
     method accepts, and every available kernel backend, the fused
     estimate must equal the one produced under

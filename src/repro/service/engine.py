@@ -82,6 +82,25 @@ from repro.service.request import (
 _BOUND_LEVEL = LADDER.index("bound")
 
 
+def _request_burst(requests: Any) -> list[EstimateRequest]:
+    """``requests`` as a list, or :class:`ServiceError` if it is not an
+    iterable of :class:`EstimateRequest`."""
+    try:
+        burst = list(requests)
+    except TypeError as error:
+        raise ServiceError(
+            f"map() takes an iterable of EstimateRequest, got "
+            f"{type(requests).__name__}"
+        ) from error
+    for request in burst:
+        if not isinstance(request, EstimateRequest):
+            raise ServiceError(
+                f"map() takes EstimateRequest objects, got "
+                f"{type(request).__name__}"
+            )
+    return burst
+
+
 class _ResultMemo(SummaryCache):
     """Content-keyed LRU of finished estimates (``service_memo.*``)."""
 
@@ -422,6 +441,11 @@ class EstimationService:
         whose snapshot ages past ``max_staleness_s`` before executing
         degrades with reason ``"stale"``.
         """
+        if request is not None and not isinstance(request, EstimateRequest):
+            raise ServiceError(
+                f"request= takes an EstimateRequest, got "
+                f"{type(request).__name__}"
+            )
         live = snapshot_seq = None
         if request is None and (
             isinstance(ancestors, str)
@@ -744,7 +768,12 @@ class EstimationService:
         each ``result`` executes queued micro-batches until its own
         request is answered (caller-runs), so a burst runs without a
         thread handoff.
+
+        A ``requests`` that is not an iterable of
+        :class:`EstimateRequest` raises :class:`ServiceError` before any
+        request is admitted.
         """
+        requests = _request_burst(requests)
         if self._router is None:
             futures, pending = self._admit(requests)
         else:

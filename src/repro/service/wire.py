@@ -651,9 +651,16 @@ def decode_request(
     Returns ``(request, format)`` — the detected format lets an endpoint
     answer in kind.  Binary operand arrays are zero-copy views into
     ``payload``; keep the buffer alive as long as the request.  Any
-    structurally invalid payload raises :class:`ServiceError`.
+    structurally invalid payload raises :class:`ServiceError`, and so
+    does a payload that is not a bytes-like object.
     """
-    detected = sniff_format(payload)
+    try:
+        detected = sniff_format(payload)
+    except TypeError as error:
+        raise ServiceError(
+            f"a request payload must be bytes-like, got "
+            f"{type(payload).__name__}"
+        ) from error
     decode = (
         _decode_binary_request
         if detected == FORMAT_BINARY

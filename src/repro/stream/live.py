@@ -371,11 +371,16 @@ class LiveWorkspace:
         :meth:`apply_pending` (or the service's staleness enforcement)
         catches up.
         """
-        mutations = (
-            batch.mutations
-            if isinstance(batch, MutationBatch)
-            else tuple(batch)
-        )
+        if isinstance(batch, MutationBatch):
+            mutations = batch.mutations
+        else:
+            try:
+                mutations = tuple(batch)
+            except TypeError as error:
+                raise StreamError(
+                    f"expected a MutationBatch or an iterable of "
+                    f"Mutations, got {type(batch).__name__}"
+                ) from error
         lo, hi = self.workspace
         for mutation in mutations:
             if not isinstance(mutation, Mutation):

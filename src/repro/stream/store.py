@@ -102,7 +102,7 @@ class CatalogStore:
         **options,
     ) -> LiveWorkspace:
         """Register a new tenant and return its resident workspace."""
-        if not _TENANT_NAME.match(tenant):
+        if not isinstance(tenant, str) or not _TENANT_NAME.match(tenant):
             raise StreamError(
                 f"tenant name {tenant!r} must match "
                 f"{_TENANT_NAME.pattern}"

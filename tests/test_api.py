@@ -102,7 +102,11 @@ class TestEstimateFacade:
         second = repro.estimate(
             a, d, method="PL", num_buckets=5, cache=cache
         )
-        assert first.value == second.value == bare.value
+        assert cache.stats()["hits"] == 0  # the second call stores
+        third = repro.estimate(
+            a, d, method="PL", num_buckets=5, cache=cache
+        )
+        assert first.value == second.value == third.value == bare.value
         assert cache.stats()["hits"] > 0
 
 

@@ -12,11 +12,12 @@ Three contracts pinned here:
   paper's per-call index composition), on every probe backend and every
   available kernel backend, with and without an ambient
   :class:`~repro.perf.IndexCache` (the table-gather tier).
-* **arena semantics** — operand arenas are views (no copies), memoized
-  on the object without a cache and content-keyed through the cache
-  with one; the stab-count table equals the stabbing counter evaluated
-  over every descendant start; reference mode bypasses the
-  turning-point cache on the node set.
+* **arena semantics** — operand arenas are views (no copies), fresh
+  wrappers without a cache (no reference cycle pins an operand) and
+  content-keyed through the cache with one; the stab-count table equals
+  the stabbing counter evaluated over every descendant start, is built
+  on a pair's second probe and gathered from on the third; reference
+  mode bypasses the turning-point cache on the node set.
 """
 
 from __future__ import annotations
@@ -210,19 +211,19 @@ class TestOperandArena:
         assert len(arena) == len(a)
         assert tuple(arena.wire_fields()) == OPERAND_FIELDS
 
-    def test_object_memo_without_cache(self, operands):
-        a, __ = operands
-        assert operand_arena(a) is operand_arena(a)
-
     def test_content_keyed_through_cache(self, operands):
         a, __ = operands
         clone = NodeSet(list(a.elements), name=a.name)
         cache = IndexCache()
-        first = operand_arena(a, cache)
+        # The clone's miss is the content key's second: it stores.
+        built = operand_arena(a, cache)
+        first = operand_arena(clone, cache)
+        assert first is not built
+        assert operand_arena(a, cache) is first
         assert operand_arena(clone, cache) is first
         stats = cache.stats()
-        assert stats["misses"] == 1
-        assert stats["hits"] == 1
+        assert stats["misses"] == 2
+        assert stats["hits"] == 2
 
     def test_turning_points_padded(self, operands):
         a, __ = operands
@@ -232,6 +233,78 @@ class TestOperandArena:
         assert padded[0] == 0
         assert np.array_equal(padded[1:], ref_values)
         assert not padded.flags.writeable
+        # cached on the node set, so every fresh arena shares it
+        assert operand_arena(a).turning_points()[1] is padded
+
+    def test_probes_leave_no_reference_cycles(self, operands):
+        """Estimates, wire round trips and live reads free everything
+        by reference counting: the cyclic collector finds nothing."""
+        import gc
+
+        import repro
+        from repro.core.workspace import Workspace
+        from repro.service import wire
+        from repro.service.request import EstimateRequest
+        from repro.stream import LiveWorkspace, Mutation
+
+        a, d = operands
+        workspace = Workspace(0, 4000)
+        pool = []
+        for i in range(20):
+            pool.append(Element("a", 20 * i + 1, 20 * i + 9))
+            pool.append(Element("d", 20 * i + 2, 20 * i + 4))
+        live = LiveWorkspace(workspace, elements=pool, seed=0)
+        service = repro.serve(workers=0)
+        live_service = repro.serve(workers=0, live=live)
+
+        def fresh(node_set):
+            return NodeSet.from_arrays(
+                node_set.starts.copy(), node_set.ends.copy(), name="x"
+            )
+
+        makers = (
+            lambda s: IMSamplingEstimator(num_samples=9, seed=s),
+            lambda s: PMSamplingEstimator(num_samples=9, seed=s),
+            lambda s: SystematicSamplingEstimator(num_samples=4, seed=s),
+        )
+        def exercise(seed):
+            for cache in (None, IndexCache()):
+                for make in makers:
+                    _estimate(make, seed, fresh(a), fresh(d), cache)
+            for wire_format in ("binary", "json"):
+                request = EstimateRequest(
+                    ancestors=fresh(a),
+                    descendants=fresh(d),
+                    method="IM",
+                    config={"num_samples": 9, "seed": seed},
+                    request_id=f"r{seed}",
+                )
+                reply = service.estimate_wire(
+                    wire.encode_request(request, wire_format=wire_format)
+                )
+                assert wire.decode_response(reply).status == "ok"
+            base = 3000 + 20 * seed
+            live.apply([Mutation("insert", Element("a", base + 1, base + 9))])
+            response = live_service.estimate(
+                "a", "d", "IM", num_samples=9, seed=seed
+            )
+            assert response.status == "ok"
+
+        # A first round outside the measured one: lazy imports and a
+        # compiled backend's first-call compilation leave garbage of
+        # their own.
+        exercise(0)
+        gc.collect()
+        gc.disable()
+        try:
+            for seed in range(1, 4):
+                exercise(seed)
+            found = gc.collect()
+        finally:
+            gc.enable()
+            service.close()
+            live_service.close()
+        assert found == 0
 
     def test_turning_points_bypass_under_reference_mode(self, operands):
         a, __ = operands
@@ -259,6 +332,7 @@ class TestStabCountTable:
     def test_equals_stabbing_counter(self, operands):
         a, d = operands
         cache = IndexCache()
+        assert stab_count_table(a, d, cache) is None  # first probe
         table = stab_count_table(a, d, cache)
         want = StabbingCounter(a).count_many(d.starts)
         assert np.array_equal(table, want)
@@ -268,9 +342,46 @@ class TestStabCountTable:
     def test_cached_by_both_fingerprints(self, operands):
         a, d = operands
         cache = IndexCache()
+        stab_count_table(a, d, cache)
         first = stab_count_table(a, d, cache)
         assert stab_count_table(a, d, cache) is first
-        # swapping operands is a different table, not a cache hit
+        # swapping operands is a different table, not a cache hit: its
+        # first probe builds nothing
+        assert stab_count_table(d, a, cache) is None
         swapped = stab_count_table(d, a, cache)
         assert swapped is not first
         assert len(swapped) == len(a)
+
+
+TABLE_CASES = [
+    case
+    for case in ESTIMATOR_CASES
+    if case[0].startswith(("IM", "SYS", "SEMI-D"))
+]
+
+
+@pytest.mark.parametrize(
+    "name,make", TABLE_CASES, ids=[c[0] for c in TABLE_CASES]
+)
+class TestProbeTiers:
+    """Under an ambient cache a pair's first probe goes direct, its
+    second builds the stab-count table and its third gathers from it:
+    every value and ``details`` field equals the reference on each."""
+
+    def test_first_second_third_probe(self, name, make, operands):
+        a, d = operands
+        key = ("stab_table", a.fingerprint, d.fingerprint)
+        with reference_kernels():
+            want = make(5).estimate(a, d)
+        for backend in available_backends():
+            cache = IndexCache()
+            with use_kernel_backend(backend), use_index_cache(cache):
+                for probe in (1, 2, 3):
+                    got = make(5).estimate(a, d)
+                    assert got.value == want.value, (name, backend, probe)
+                    assert got.details == want.details, (name, backend, probe)
+                    assert (key in cache) == (probe >= 2), (name, probe)
+            # probe 1: the table misses; probe 2: the table misses again
+            # and is built, fetching the ancestor arena (its first miss);
+            # probe 3: the table hits, and the arena is not fetched.
+            assert (cache.hits, cache.misses) == (1, 3), (name, backend)

@@ -300,14 +300,16 @@ class TestCacheCounters:
     def test_evictions_counted(self):
         cache = SummaryCache(maxsize=1)
         with obs.observe() as registry:
-            cache.get_or_build("k1", lambda: "a")
-            cache.get_or_build("k2", lambda: "b")
+            for key, value in (("k1", "a"), ("k2", "b")):
+                for __ in range(2):  # stored on its second miss
+                    cache.get_or_build(key, lambda: value)
         assert registry.counters()["cache.evictions"] == 1
         assert cache.stats()["evictions"] == 1
 
     def test_nbytes_tracked(self):
         cache = SummaryCache(maxsize=2)
-        cache.get_or_build("k1", lambda: list(range(100)))
+        for __ in range(2):  # stored on its second miss
+            cache.get_or_build("k1", lambda: list(range(100)))
         assert cache.stats()["nbytes"] > 0
         cache.clear()
         assert cache.stats()["nbytes"] == 0

@@ -71,12 +71,13 @@ def _deep_nbytes(value, depth=4):
 
 class _ReferenceCache:
     """SummaryCache semantics by brute force: a scan per invalidation,
-    the deep walk per insert."""
+    the deep walk per insert, and the doorkeeper as a plain list."""
 
     def __init__(self, maxsize):
         self.maxsize = maxsize
         self.data = OrderedDict()
         self.sizes = {}
+        self.window = []  # keys that missed once, oldest first
         self.hits = self.misses = self.evictions = self.invalidations = 0
         self.nbytes = 0
 
@@ -91,12 +92,34 @@ class _ReferenceCache:
             self.nbytes -= self.sizes.pop(victim)
             self.evictions += 1
 
+    def _admits(self, key):
+        """Count a miss; True on the key's second miss in the window."""
+        self.misses += 1
+        if key in self.window:
+            self.window.remove(key)
+            return True
+        self.window.append(key)
+        if len(self.window) > self.maxsize:
+            self.window.pop(0)
+        return False
+
     def get_or_build(self, key, builder):
         if key in self.data:
             self.data.move_to_end(key)
             self.hits += 1
             return self.data[key]
-        self.misses += 1
+        value = builder()
+        if self._admits(key):
+            self._store(key, value)
+        return value
+
+    def get_if_reused(self, key, builder):
+        if key in self.data:
+            self.data.move_to_end(key)
+            self.hits += 1
+            return self.data[key]
+        if not self._admits(key):
+            return None
         value = builder()
         self._store(key, value)
         return value
@@ -123,27 +146,35 @@ class _ReferenceCache:
     def clear(self):
         self.data.clear()
         self.sizes.clear()
+        self.window.clear()
         self.hits = self.misses = self.evictions = self.invalidations = 0
         self.nbytes = 0
 
 
+def _touch(cache, key, value, times=2):
+    """Look ``key`` up ``times`` times: twice stores it."""
+    for __ in range(times):
+        cache.get_or_build(key, lambda: value)
+
+
 class TestSummaryCache:
     def test_get_or_build_builds_once(self):
+        """Once stored (on its second miss), a key is never rebuilt."""
         cache = SummaryCache()
         calls = []
-        for __ in range(3):
+        for __ in range(5):
             value = cache.get_or_build("k", lambda: calls.append(1) or 42)
         assert value == 42
-        assert calls == [1]
-        assert cache.hits == 2
-        assert cache.misses == 1
+        assert calls == [1, 1]
+        assert cache.hits == 3
+        assert cache.misses == 2
 
     def test_lru_eviction_order(self):
         cache = SummaryCache(maxsize=2)
-        cache.get_or_build("a", lambda: 1)
-        cache.get_or_build("b", lambda: 2)
+        _touch(cache, "a", 1)
+        _touch(cache, "b", 2)
         cache.get_or_build("a", lambda: 1)  # refresh a: b is now LRU
-        cache.get_or_build("c", lambda: 3)  # evicts b
+        _touch(cache, "c", 3)  # evicts b
         assert "a" in cache and "c" in cache
         assert "b" not in cache
         assert cache.evictions == 1
@@ -154,16 +185,98 @@ class TestSummaryCache:
 
     def test_stats_and_clear(self):
         cache = SummaryCache()
-        cache.get_or_build("k", lambda: 1)
-        cache.get_or_build("k", lambda: 1)
+        _touch(cache, "k", 1, times=4)
         stats = cache.stats()
         assert stats["size"] == 1
-        assert stats["hits"] == 1
-        assert stats["misses"] == 1
+        assert stats["hits"] == 2
+        assert stats["misses"] == 2
         assert stats["hit_rate"] == 0.5
         cache.clear()
         assert len(cache) == 0
         assert cache.stats()["hit_rate"] == 0.0
+
+
+class TestDoorkeeper:
+    """A key is stored on its second miss, not its first."""
+
+    def test_first_miss_builds_and_does_not_store(self):
+        cache = SummaryCache()
+        calls = []
+        assert cache.get_or_build("k", lambda: calls.append(1) or 7) == 7
+        assert calls == [1]
+        assert "k" not in cache
+        assert len(cache) == 0 and cache.nbytes == 0
+        assert cache.stats()["misses"] == 1
+
+    def test_second_miss_stores_and_third_lookup_hits(self):
+        cache = SummaryCache()
+        calls = []
+
+        def build():
+            calls.append(1)
+            return [1.5, 2.5]
+
+        first = cache.get_or_build("k", build)
+        second = cache.get_or_build("k", build)
+        assert "k" in cache and cache.nbytes > 0
+        third = cache.get_or_build("k", build)
+        assert first == second == third
+        assert third is second  # served, not rebuilt
+        assert calls == [1, 1]
+        assert (cache.hits, cache.misses) == (1, 2)
+
+    def test_key_pushed_out_of_the_window_starts_over(self):
+        cache = SummaryCache(maxsize=2)
+        cache.get_or_build("a", lambda: 1)  # window: a
+        cache.get_or_build("b", lambda: 2)  # window: a b
+        cache.get_or_build("c", lambda: 3)  # window: b c (a pushed out)
+        cache.get_or_build("a", lambda: 1)  # a's first miss again
+        assert "a" not in cache
+        cache.get_or_build("a", lambda: 1)  # ... and its second
+        assert "a" in cache
+        cache.get_or_build("c", lambda: 3)  # c is still in the window
+        assert "c" in cache and "b" not in cache
+        assert cache.evictions == 0
+
+    def test_clear_empties_the_window(self):
+        cache = SummaryCache()
+        cache.get_or_build("k", lambda: 1)
+        cache.clear()
+        cache.get_or_build("k", lambda: 1)
+        assert "k" not in cache  # a first miss again
+
+    def test_put_and_peek_many_are_unaffected(self):
+        cache = SummaryCache()
+        cache.put("k", 1)
+        assert "k" in cache  # stored at once
+        assert cache.peek_many(["k", "j", "j"], "absent") == [
+            1, "absent", "absent"
+        ]
+        assert "j" not in cache
+        # a peek miss does not enter the window
+        cache.get_or_build("j", lambda: 2)
+        assert "j" not in cache
+        assert cache.peek("j") is None
+        assert (cache.hits, cache.misses) == (1, 4)
+
+    def test_get_if_reused_builds_on_the_second_miss_only(self):
+        cache = SummaryCache()
+        calls = []
+
+        def build():
+            calls.append(1)
+            return 9
+
+        assert cache.get_if_reused("k", build) is None
+        assert calls == []
+        assert cache.get_if_reused("k", build) == 9
+        assert cache.get_if_reused("k", build) == 9
+        assert calls == [1]
+        assert (cache.hits, cache.misses) == (1, 2)
+        # the two lookups share one window
+        cache.get_or_build("j", lambda: 3)
+        assert cache.get_if_reused("j", lambda: 3) == 3
+        assert "j" in cache
 
 
 FINGERPRINTS = ("fp-a", "fp-b", "fp-c", "fp-d", "fp-e")
@@ -206,6 +319,7 @@ class TestSummaryCacheDifferential:
 
     def _check(self, cache, reference):
         assert list(cache._data) == list(reference.data)  # LRU order
+        assert list(cache._window) == [hash(k) for k in reference.window]
         assert cache.hits == reference.hits
         assert cache.misses == reference.misses
         assert cache.evictions == reference.evictions
@@ -223,18 +337,19 @@ class TestSummaryCacheDifferential:
             op = rng.choices(
                 (
                     "get_or_build",
+                    "get_if_reused",
                     "put",
                     "peek",
                     "peek_many",
                     "invalidate",
                     "clear",
                 ),
-                weights=(8, 4, 4, 3, 3, 0.2),
+                weights=(8, 3, 4, 4, 3, 3, 0.2),
             )[0]
-            if op == "get_or_build":
+            if op in ("get_or_build", "get_if_reused"):
                 key, value = _random_key(rng), _random_value(rng)
-                got = cache.get_or_build(key, lambda: value)
-                assert got == reference.get_or_build(key, lambda: value)
+                got = getattr(cache, op)(key, lambda: value)
+                assert got == getattr(reference, op)(key, lambda: value)
             elif op == "put":
                 key, value = _random_key(rng), _random_value(rng)
                 assert cache.put(key, value) is None
@@ -339,6 +454,7 @@ class TestSummaryCacheThreads:
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
         assert len(cache) <= 16
+        assert len(cache._window) <= 16
         assert set(cache._sizes) == set(cache._data)
         assert cache.nbytes == sum(cache._sizes.values())
         indexed = {
@@ -490,10 +606,13 @@ class TestCachedEstimatorParity:
         cache = SummaryCache()
         cached_estimator = make(cache)
         first = cached_estimator.estimate(ancestors, descendants)
+        stored = cached_estimator.estimate(ancestors, descendants)
+        assert cache.hits == 0  # the second call stores
         again = cached_estimator.estimate(ancestors, descendants)
         assert first.value == plain.value
+        assert stored.value == plain.value
         assert again.value == plain.value
-        assert cache.hits > 0  # second call actually hit
+        assert cache.hits > 0  # third call actually hit
 
     def test_catalog_uses_cache(self, dblp):
         cache = SummaryCache()

@@ -22,6 +22,7 @@ from repro.qa.generators import (
 )
 from repro.qa.oracles import (
     OracleFailure,
+    check_cached_vs_uncached,
     check_summary_geometry,
     check_wire_fuzz,
 )
@@ -241,6 +242,14 @@ class TestOracleSubset:
 
     def test_oracle_failure_is_assertion(self):
         assert issubclass(OracleFailure, AssertionError)
+
+    def test_cache_that_never_stores_is_caught(self, monkeypatch):
+        """cached-vs-uncached fails when the third call cannot hit."""
+        from repro.perf.cache import SummaryCache
+
+        monkeypatch.setattr(SummaryCache, "_admit", lambda *args: None)
+        with pytest.raises(OracleFailure, match="third call hit nothing"):
+            check_cached_vs_uncached(random_case(42))
 
 
 class TestWireFuzz:

@@ -900,6 +900,38 @@ class TestFrontDoorErrors:
         with pytest.raises(ServiceError):
             _request(figure1_tree, **{field: value})
 
+    @pytest.mark.parametrize(
+        "burst",
+        [[1], None, 5, "request", "good-then-int"],
+        ids=["int-item", "none", "int", "str", "good-then-int"],
+    )
+    def test_map_takes_requests(self, figure1_tree, burst):
+        good = _request(figure1_tree, config={"num_samples": 10, "seed": 1})
+        if burst == "good-then-int":
+            burst = [good, 1]
+        with EstimationService(workers=0) as service:
+            with pytest.raises(ServiceError, match="EstimateRequest"):
+                service.map(burst)
+            assert service._inflight == {}
+            assert service.stats()["queue_depth"] == 0
+            assert service.stats()["memo"]["size"] == 0
+
+    @pytest.mark.parametrize("request_", [1, "request", ("a", "d")], ids=repr)
+    def test_submit_takes_a_request(self, request_):
+        with EstimationService(workers=0) as service:
+            with pytest.raises(ServiceError, match="EstimateRequest"):
+                service.submit(request=request_)
+            assert service._inflight == {}
+            assert service.stats()["queue_depth"] == 0
+
+    @pytest.mark.parametrize("payload", ["{}", None, 123], ids=repr)
+    def test_estimate_wire_takes_bytes(self, payload):
+        with EstimationService(workers=0) as service:
+            with pytest.raises(ServiceError, match="must be bytes-like"):
+                service.estimate_wire(payload)
+            assert service.stats()["wire"]["requests"] == 0
+            assert service.stats()["queue_depth"] == 0
+
     @pytest.mark.parametrize("entry", ["repro.estimate", "service.estimate"])
     def test_method_name_must_be_a_string(self, figure1_tree, entry):
         with pytest.raises(UnknownEstimatorError, match="must be a string"):

@@ -317,6 +317,14 @@ class TestBatchAtomicity:
         assert live.apply_pending() == 1
         assert _population(live) == {"a": [(1, 10), (11, 20), (21, 30)]}
 
+    @pytest.mark.parametrize("batch", [5, None, 1.5], ids=repr)
+    def test_non_iterable_batch_rejected_before_queue(self, batch):
+        live = self._live()
+        with pytest.raises(StreamError, match="iterable of Mutations"):
+            live.ingest(batch)
+        assert live.pending_batches == 0
+        assert (live.ingest_seq, live.applied_seq) == (0, 0)
+
     #: Region codes an int64 buffer cannot hold, each in a workspace
     #: that admits it.
     NOT_INT64 = [
@@ -722,10 +730,14 @@ class TestFingerprintInvalidation:
                     "a", "d", "PL", num_buckets=8, tenant=tenant
                 )
 
+            # Each read is made twice: a summary is stored on its
+            # second miss.
+            read("beta")
             before = read("beta")
             entries = beta_entries(cache)
             for batch in alpha_feed.batches(6, 5):
                 alpha.apply(batch)
+                read("alpha")
                 read("alpha")
             survivors = beta_entries(cache)
             hits = cache.hits
@@ -759,10 +771,11 @@ class TestCacheDetach:
             for holder in (store, alpha, beta):
                 assert len(holder._caches) == 2
                 assert all(a is b for a, b in zip(holder._caches, caches))
-            response = service.estimate(
-                "a", "d", "PL", num_buckets=8, tenant="alpha"
-            )
-            assert response.status == "ok"
+            for __ in range(2):  # a summary is stored on its second miss
+                response = service.estimate(
+                    "a", "d", "PL", num_buckets=8, tenant="alpha"
+                )
+                assert response.status == "ok"
             # Entries a still-attached closed cache would have dropped.
             fingerprint = alpha.fingerprint("a")
             for cache in closed:
@@ -999,6 +1012,13 @@ class TestCatalogStore:
         store = CatalogStore()
         with pytest.raises(StreamError, match="tenant name"):
             store.create("no/slashes", WORKSPACE)
+
+    @pytest.mark.parametrize("tenant", [5, None, b"alpha"], ids=repr)
+    def test_tenant_name_must_be_a_string(self, tenant):
+        store = CatalogStore()
+        with pytest.raises(StreamError, match="tenant name"):
+            store.create(tenant, WORKSPACE)
+        assert store.tenants() == []
 
     def test_unknown_tenant(self):
         store = CatalogStore()

@@ -287,6 +287,11 @@ class TestMalformedPayloads:
         with pytest.raises(ServiceError, match="estimate_request"):
             wire.decode_request(response_payload)
 
+    @pytest.mark.parametrize("payload", [None, 123, "{}", 1.5], ids=repr)
+    def test_payload_must_be_bytes_like(self, payload):
+        with pytest.raises(ServiceError, match="must be bytes-like"):
+            wire.decode_request(payload)
+
     def test_garbage_is_sniffed_as_json_and_rejected(self):
         with pytest.raises(ServiceError, match="malformed JSON"):
             wire.decode_request(b"\x00\x01\x02 not json")
