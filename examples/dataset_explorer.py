@@ -12,7 +12,7 @@ Run:  python examples/dataset_explorer.py
 """
 
 from repro.datasets import generate_dblp, generate_xmach, generate_xmark
-from repro.index import StabbingCounter, TTree, XRTree
+from repro.index import TTree, XRTree
 from repro.xmltree import parse_xml, to_xml
 
 
@@ -47,12 +47,12 @@ def show_indexes() -> None:
     ancestors = dataset.node_set("parlist")  # a self-nesting set
     ttree = TTree(ancestors)
     xrtree = XRTree(ancestors)
-    oracle = StabbingCounter(ancestors)
     probes = [e.start + 1 for e in ancestors.elements[:5]]
     print(f"== index probes over {len(ancestors)} parlist intervals "
           f"({ttree.turning_point_count} turning points):")
     for position in probes:
-        print(f"   position {position}: rank oracle={oracle.count(position)} "
+        print(f"   position {position}: "
+              f"rank oracle={ancestors.stab_count(position)} "
               f"T-tree={ttree.count(position)} "
               f"XR-tree={xrtree.stab_count(position)}")
 

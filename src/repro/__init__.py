@@ -65,14 +65,12 @@ from repro.api import (
     MutationBatch,
     MutationFeed,
     Router,
-    available_backends,
     available_estimators,
     available_generators,
     available_modules,
     available_routers,
     build_catalog,
     estimate,
-    kernel_backend,
     make_estimator,
     optimize,
     plan_cost,
@@ -81,12 +79,10 @@ from repro.api import (
     resolve_module,
     resolve_router,
     serve,
-    set_kernel_backend,
     use_feedback,
-    use_kernel_backend,
 )
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "CardinalityGenerator",
@@ -110,14 +106,12 @@ __all__ = [
     "Router",
     "SpaceBudget",
     "Workspace",
-    "available_backends",
     "available_estimators",
     "available_generators",
     "available_modules",
     "available_routers",
     "build_catalog",
     "estimate",
-    "kernel_backend",
     "make_estimator",
     "optimize",
     "plan_cost",
@@ -126,8 +120,6 @@ __all__ = [
     "resolve_module",
     "resolve_router",
     "serve",
-    "set_kernel_backend",
     "use_feedback",
-    "use_kernel_backend",
     "__version__",
 ]

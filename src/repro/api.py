@@ -67,8 +67,8 @@ from types import ModuleType
 from typing import Any
 
 from repro.core.budget import SpaceBudget
-from repro.core.errors import UnknownModuleError
-from repro.core.nodeset import NodeSet
+from repro.core.errors import EstimationError, UnknownModuleError
+from repro.core.nodeset import NodeSet, require_node_set
 from repro.core.rng import SeedLike
 from repro.core.workspace import Workspace
 from repro.catalog.catalog import CatalogMethod, StatisticsCatalog
@@ -101,12 +101,6 @@ from repro.router import (
     Router,
     available_routers,
     resolve_router,
-)
-from repro.kernels.backend import (
-    available_backends,
-    kernel_backend,
-    set_kernel_backend,
-    use_kernel_backend,
 )
 from repro.optimizer.planner import JoinPlan, plan_cost
 from repro.optimizer.planner import optimize as _optimize_impl
@@ -152,7 +146,6 @@ __all__ = [
     "StatisticsCatalog",
     "SummaryCache",
     "Workspace",
-    "available_backends",
     "available_estimators",
     "available_generators",
     "available_modules",
@@ -160,7 +153,6 @@ __all__ = [
     "build_catalog",
     "canonical_name",
     "estimate",
-    "kernel_backend",
     "make_estimator",
     "optimize",
     "plan_cost",
@@ -169,10 +161,8 @@ __all__ = [
     "resolve_module",
     "resolve_router",
     "serve",
-    "set_kernel_backend",
     "use_feedback",
     "use_index_cache",
-    "use_kernel_backend",
     "write_node_set",
 ]
 
@@ -294,8 +284,20 @@ def estimate(
             ``budget=``, ``num_samples=``, ``seed=``, ...).
 
     Returns the same :class:`Estimate` that
-    ``make_estimator(method, **config).estimate(...)`` would.
+    ``make_estimator(method, **config).estimate(...)`` would.  An
+    operand that is not a :class:`NodeSet` raises
+    :class:`~repro.core.errors.InvalidNodeSetError`; a ``workspace``
+    that is not a :class:`Workspace` and a configuration the
+    estimator's constructor rejects raise
+    :class:`~repro.core.errors.EstimationError`.
     """
+    require_node_set("ancestors", ancestors)
+    require_node_set("descendants", descendants)
+    if workspace is not None and not isinstance(workspace, Workspace):
+        raise EstimationError(
+            f"workspace must be a Workspace or None, "
+            f"got {type(workspace).__name__}"
+        )
     estimator = make_estimator(method, **config)
     if cache is None:
         return estimator.estimate(ancestors, descendants, workspace)

@@ -21,6 +21,7 @@ import numpy as np
 from repro.core.element import Element
 from repro.core.errors import (
     EmptyNodeSetError,
+    InvalidNodeSetError,
     InvalidRegionCodeError,
 )
 from repro.core.workspace import Workspace
@@ -393,3 +394,13 @@ class NodeSet:
         for node_set in sets:
             elements.extend(node_set.elements)
         return cls(elements, name=name)
+
+
+def require_node_set(role: str, operand: object) -> None:
+    """Raise :class:`InvalidNodeSetError` unless ``operand`` is a
+    :class:`NodeSet`; ``role`` names the operand in the message."""
+    if not isinstance(operand, NodeSet):
+        raise InvalidNodeSetError(
+            f"{role} operand must be a NodeSet, "
+            f"got {type(operand).__name__}"
+        )

@@ -19,8 +19,9 @@ the fused kernels of :func:`repro.kernels.fused.stab_sum_max`: with an
 ambient :class:`~repro.perf.IndexCache` the whole probe is one gather
 from the pair's stab-count table, built on the pair's second probe; a
 first probe, and every probe without a cache, runs straight off the
-operand arena with no index object built — the paper's structures are
-rebuilt per call only under :func:`repro.perf.reference_kernels`.
+operand arena with no index object built.  The paper's structures,
+built per call and probed one point at a time, are the oracle it is
+held to (:func:`repro.qa.reference.stab_sum_max`).
 """
 
 from __future__ import annotations

@@ -12,12 +12,12 @@ needs more samples for the same accuracy — the inferiority the paper
 predicts in Section 5.2 and confirms in Figure 8.
 
 Probes: ``PMA[v]`` via the T-tree (or the rank oracle), ``PMD[v]`` via an
-index on start positions (Section 5.3.1).  The fast path answers the
-membership probe with one ``searchsorted`` over the already-sorted start
-array (:func:`repro.index.start_membership_many`); the B+-tree build and
-per-position lookup of the paper's description are retained as its
-reference implementation and reselected under
-:func:`repro.perf.reference_kernels`.
+index on start positions (Section 5.3.1).  The fused kernel
+(:func:`repro.kernels.fused.pm_dot_hits`) answers the membership probe
+with one ``searchsorted`` over the already-sorted start array and the
+T-tree probe with one over its turning points; the paper's B+-tree
+builds and per-position lookups are the oracle it is held to
+(:func:`repro.qa.reference.pm_dot_hits`).
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from __future__ import annotations
 import difflib
 from typing import Any, Callable, Iterable, Mapping
 
-from repro.core.errors import UnknownEstimatorError
+from repro.core.errors import EstimationError, UnknownEstimatorError
 from repro.estimators.base import Estimator
 from repro.estimators.bifocal import BifocalEstimator
 from repro.estimators.coverage_histogram import CoverageHistogramEstimator
@@ -167,5 +167,15 @@ def make_estimator(name: str, **kwargs: Any) -> Estimator:
     'PL'
     >>> make_estimator("pl-histogram", num_buckets=20).name
     'PL'
+
+    A configuration the constructor rejects with a ``TypeError`` (an
+    unknown keyword, a string where a number belongs) raises
+    :class:`EstimationError` naming the method.
     """
-    return _REGISTRY[canonical_name(name)](**kwargs)
+    method = canonical_name(name)
+    try:
+        return _REGISTRY[method](**kwargs)
+    except TypeError as error:
+        raise EstimationError(
+            f"invalid configuration for {method}: {error}"
+        ) from error

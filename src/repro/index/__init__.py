@@ -7,19 +7,21 @@
 * :mod:`repro.index.xrtree` — the XR-tree: a paged interval index with
   internal stab lists answering stabbing queries (which intervals contain a
   point), following Jiang et al. (ICDE 2003).
-* :mod:`repro.index.stab` — the rank-based stabbing-count oracle every other
-  structure is validated against.
+
+Both stabbing structures are validated against the rank identity
+:meth:`NodeSet.stab_count <repro.core.nodeset.NodeSet.stab_count>`
+(``|{start <= v}| - |{end < v}|``).  The runtime probes never build
+them: the fused kernels of :mod:`repro.kernels.fused` answer the same
+queries off sorted arrays, and :mod:`repro.qa.reference` builds these
+structures per call as the oracle those kernels are held to.
 """
 
 from repro.index.bplus import BPlusTree
-from repro.index.stab import StabbingCounter, start_membership_many
 from repro.index.ttree import TTree
 from repro.index.xrtree import XRTree
 
 __all__ = [
     "BPlusTree",
-    "StabbingCounter",
     "TTree",
     "XRTree",
-    "start_membership_many",
 ]

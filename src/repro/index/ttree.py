@@ -10,9 +10,6 @@ O(|S|) turning points.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro import perf
 from repro.core.nodeset import NodeSet
 from repro.index.bplus import DEFAULT_ORDER, BPlusTree
 
@@ -28,13 +25,7 @@ class TTree:
     """
 
     def __init__(self, node_set: NodeSet, order: int = DEFAULT_ORDER) -> None:
-        # Flat sorted views of the turning points for batched probes: a
-        # floor lookup over the B+-tree and a searchsorted over these
-        # arrays answer the same query.  The arrays are the node set's
-        # cached ones, shared with every other turning-point consumer.
         keys, values = node_set.turning_points_arrays
-        self._point_keys = keys
-        self._point_values = values
         points = list(zip(keys.tolist(), values.tolist()))
         self._tree = BPlusTree.bulk_load(points, order=order)
         self._first_key = points[0][0] if points else None
@@ -59,25 +50,3 @@ class TTree:
         entry = self._tree.floor_entry(position)
         assert entry is not None  # guarded by the _first_key check
         return entry[1]
-
-    def count_many_reference(self, positions: np.ndarray) -> np.ndarray:
-        """Per-position B+-tree floor-lookup implementation of
-        :meth:`count_many`."""
-        return np.array(
-            [self.count(int(p)) for p in positions], dtype=np.int64
-        )
-
-    def count_many(self, positions: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`count` over an array of positions.
-
-        ``PMA`` is constant between adjacent turning points, so the floor
-        entry for every position is one ``searchsorted`` over the sorted
-        turning-point keys; positions before the first key count 0.
-        """
-        if perf.reference_kernels_enabled():
-            return self.count_many_reference(positions)
-        if self._first_key is None:
-            return np.zeros(len(positions), dtype=np.int64)
-        slots = np.searchsorted(self._point_keys, positions, side="right")
-        counts = self._point_values[np.maximum(slots - 1, 0)]
-        return np.where(slots == 0, 0, counts).astype(np.int64)

@@ -21,9 +21,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
-import numpy as np
-
-from repro import perf
 from repro.core.element import Element
 from repro.core.errors import ReproError
 from repro.core.nodeset import NodeSet
@@ -65,10 +62,6 @@ class XRTree:
             raise ReproError(f"page size must be >= 2, got {page_size}")
         self._page_size = page_size
         self._size = len(node_set)
-        # Sorted start/end views for the batched count kernel (rank
-        # identity); the tree walk remains the per-point reference.
-        self._starts = node_set.starts
-        self._sorted_ends = node_set.sorted_ends
         self._root: _XRInternal | _XRLeaf | None = None
         if self._size == 0:
             return
@@ -129,28 +122,6 @@ class XRTree:
     def stab_count(self, position: int) -> int:
         """Number of indexed elements whose region contains ``position``."""
         return len(self.stab(position))
-
-    def stab_count_many_reference(self, positions: np.ndarray) -> np.ndarray:
-        """Per-position tree-walk implementation of
-        :meth:`stab_count_many`."""
-        return np.array(
-            [self.stab_count(int(p)) for p in positions], dtype=np.int64
-        )
-
-    def stab_count_many(self, positions: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`stab_count` over an array of positions.
-
-        Counting does not need the element lists the tree walk gathers, so
-        the batch path answers via the rank identity over the sorted
-        start/end views captured at construction — the same semantics the
-        tree is validated against (``tests/test_index_batch.py`` asserts
-        bit-for-bit agreement with the walk).
-        """
-        if perf.reference_kernels_enabled():
-            return self.stab_count_many_reference(positions)
-        started = np.searchsorted(self._starts, positions, side="right")
-        ended = np.searchsorted(self._sorted_ends, positions, side="left")
-        return (started - ended).astype(np.int64)
 
     # ------------------------------------------------------------------
     # Introspection

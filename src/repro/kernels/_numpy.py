@@ -1,4 +1,4 @@
-"""Numpy implementations of the fused probe kernels.
+"""The numpy probe kernels behind :mod:`repro.kernels.fused`.
 
 Each function is one *fused* pass for one estimator's probe+scale body:
 it takes the SoA operand arrays plus the (trials × m) sample layout and
@@ -10,16 +10,14 @@ masks the old per-phase path materialized (then copied via ``astype``)
 never exist.
 
 Every aggregate is integer arithmetic (sums, maxes, 0/1 dots), so these
-functions are bit-for-bit equal to the per-phase compositions they
-replace — the property suite and the ``fused-vs-reference`` qa oracle
-assert it against the retained ``*_reference`` loops.
+functions are bit-for-bit equal to the paper's structures probed one
+point at a time — the parity suites and the ``fused-vs-reference`` qa
+oracle assert it against :mod:`repro.qa.reference`.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-NAME = "numpy"
 
 
 def _row_sum_max(

@@ -1,16 +1,15 @@
 """Fused probe pipelines: index_build → probe → scale in one pass.
 
 Each function here is the full probe body of one sampling estimator,
-expressed over :class:`~repro.kernels.arena.OperandArena` views and
-dispatched to the active kernel backend
-(:func:`repro.kernels.backend.set_kernel_backend`).  The estimators keep
+expressed over :class:`~repro.kernels.arena.OperandArena` views and the
+numpy kernels of :mod:`repro.kernels._numpy`.  The estimators keep
 ownership of sample *drawing* (the RNG streams are part of the public
 contract) and of *scaling* aggregates into :class:`Estimate` objects;
 everything in between — operand layout, index acquisition, probing,
 per-trial reduction — happens here, with no intermediate arrays handed
 back across the boundary.
 
-Three operand tiers, fastest first:
+Two operand tiers, fastest first:
 
 1. **stab-count table** (cache present, probe points drawn from the
    descendant start array, and the pair probed before): the probe is a
@@ -20,15 +19,21 @@ Three operand tiers, fastest first:
 2. **direct arena kernels** (no cache, a pair's first probe under one,
    and every PM-Est/bifocal probe): searchsorted rank identity or
    turning-point floor lookup straight off the arena views, no index
-   object built at all;
-3. **reference composition** (:func:`repro.perf.reference_kernels`):
-   the original per-call build of the paper's index structure followed
-   by its ``*_reference`` probe loop, byte-identical to the
-   pre-fusion code path — this is the semantics of record the parity
-   suite holds every backend to.
+   object built at all.
 
-All aggregates are integer arithmetic, so every tier returns bit-for-bit
-identical values; only the time changes.
+On the IM, SEMI-D and SYS paths the table, the arena's start and
+sorted end codes and the padded turning points are all read inside the
+``index_build`` phase timer, so the lazy sort of a fresh operand's end
+codes is charged to index building, never to the probe.  PM-Est and
+bifocal sampling sort them earlier, when they resolve the workspace
+(:meth:`NodeSet.workspace` reads the last sorted end).
+
+All aggregates are integer arithmetic, so both tiers return bit-for-bit
+identical values; only the time changes.  The paper's per-call
+composition — the rank identity, T-tree, XR-tree or start-position
+B+-tree built per call and probed one point at a time — is the oracle
+these functions are held to: :func:`repro.qa.reference.reference_probes`
+puts it in place of each entry point that has a reference form.
 """
 
 from __future__ import annotations
@@ -37,41 +42,13 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro import perf
 from repro.core.nodeset import NodeSet
 from repro.kernels import _numpy
-from repro.kernels import backend as _backend
 from repro.kernels.arena import operand_arena, stab_count_table
 from repro.obs import runtime as _obs
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.perf.index_cache import IndexCache
-
-
-def _impl():
-    """The kernel module to dispatch to.
-
-    Reference mode pins the numpy module so reference benchmark numbers
-    never depend on which compiled backend happens to be active.
-    """
-    if perf.reference_kernels_enabled():
-        return _numpy
-    return _backend.active_impl()
-
-
-def _reference_index(ancestors: NodeSet, probe_backend: str):
-    """Fresh per-call index object, as the pre-fusion code built it."""
-    if probe_backend == "ttree":
-        from repro.index.ttree import TTree
-
-        return TTree(ancestors)
-    if probe_backend == "xrtree":
-        from repro.index.xrtree import XRTree
-
-        return XRTree(ancestors)
-    from repro.index.stab import StabbingCounter
-
-    return StabbingCounter(ancestors)
 
 
 def stab_sum_max(
@@ -97,34 +74,22 @@ def stab_sum_max(
     if m == 0:
         zeros = np.zeros(rows, dtype=np.int64)
         return zeros, np.zeros(rows, dtype=np.int64)
-    if perf.reference_kernels_enabled():
-        points = descendants.starts[indices]
-        with _obs.phase_timer(name, "index_build"):
-            index = _reference_index(ancestors, probe_backend)
-        with _obs.phase_timer(name, "probe"):
-            if probe_backend == "xrtree":
-                counts = index.stab_count_many(points)
-            else:
-                counts = index.count_many(points)
-        matrix = counts.reshape(rows, m)
-        return matrix.sum(axis=1), matrix.max(axis=1)
-    impl = _impl()
     with _obs.phase_timer(name, "index_build"):
         table = stab_count_table(ancestors, descendants, cache)
         if table is None:
             arena = operand_arena(ancestors)
             if probe_backend == "ttree":
                 tp_keys, tp_padded = arena.turning_points()
+            else:
+                starts, sorted_ends = arena.starts, arena.sorted_ends
     with _obs.phase_timer(name, "probe"):
         if table is not None:
-            return impl.gather_sum_max(table, indices, rows, m)
+            return _numpy.gather_sum_max(table, indices, rows, m)
         points = descendants.starts[indices]
         if probe_backend == "ttree":
-            return impl.ttree_sum_max(tp_keys, tp_padded, points, rows, m)
+            return _numpy.ttree_sum_max(tp_keys, tp_padded, points, rows, m)
         # "rank" and "xrtree" both probe the rank identity in batch.
-        return impl.stab_sum_max(
-            arena.starts, arena.sorted_ends, points, rows, m
-        )
+        return _numpy.stab_sum_max(starts, sorted_ends, points, rows, m)
 
 
 def stab_positive(
@@ -141,27 +106,16 @@ def stab_positive(
     least one ancestor."""
     if m == 0:
         return np.zeros(rows, dtype=np.int64)
-    if perf.reference_kernels_enabled():
-        from repro.index.stab import StabbingCounter
-
-        points = descendants.starts[indices]
-        with _obs.phase_timer(name, "index_build"):
-            counter = StabbingCounter(ancestors)
-        with _obs.phase_timer(name, "probe"):
-            counts = counter.count_many(points).reshape(rows, m)
-        return (counts > 0).sum(axis=1, dtype=np.int64)
-    impl = _impl()
     with _obs.phase_timer(name, "index_build"):
         table = stab_count_table(ancestors, descendants, cache)
         if table is None:
             arena = operand_arena(ancestors)
+            starts, sorted_ends = arena.starts, arena.sorted_ends
     with _obs.phase_timer(name, "probe"):
         if table is not None:
-            return impl.gather_positive(table, indices, rows, m)
+            return _numpy.gather_positive(table, indices, rows, m)
         points = descendants.starts[indices]
-        return impl.stab_positive(
-            arena.starts, arena.sorted_ends, points, rows, m
-        )
+        return _numpy.stab_positive(starts, sorted_ends, points, rows, m)
 
 
 def stab_segment_sums(
@@ -180,27 +134,16 @@ def stab_segment_sums(
     """
     if indices.shape[0] == 0:
         return np.zeros(offsets.shape[0], dtype=np.int64)
-    if perf.reference_kernels_enabled():
-        from repro.index.stab import StabbingCounter
-
-        points = descendants.starts[indices]
-        with _obs.phase_timer(name, "index_build"):
-            counter = StabbingCounter(ancestors)
-        with _obs.phase_timer(name, "probe"):
-            counts = counter.count_many(points)
-        return np.add.reduceat(counts, offsets)
-    impl = _impl()
     with _obs.phase_timer(name, "index_build"):
         table = stab_count_table(ancestors, descendants, cache)
         if table is None:
             arena = operand_arena(ancestors)
+            starts, sorted_ends = arena.starts, arena.sorted_ends
     with _obs.phase_timer(name, "probe"):
         if table is not None:
-            return impl.gather_segment_sums(table, indices, offsets)
+            return _numpy.gather_segment_sums(table, indices, offsets)
         points = descendants.starts[indices]
-        return impl.segment_sums(
-            arena.starts, arena.sorted_ends, points, offsets
-        )
+        return _numpy.segment_sums(starts, sorted_ends, points, offsets)
 
 
 def pm_dot_hits(
@@ -220,28 +163,16 @@ def pm_dot_hits(
     Positions are uniform workspace draws, not descendant starts, so
     there is no table tier — the arena kernels are the fast path.
     """
-    if perf.reference_kernels_enabled():
-        from repro.index.stab import start_membership_many
-
-        with _obs.phase_timer(name, "index_build"):
-            index = _reference_index(ancestors, probe_backend)
-        with _obs.phase_timer(name, "probe"):
-            pma = index.count_many(positions).reshape(rows, m)
-            pmd = start_membership_many(
-                descendants.starts, positions
-            ).reshape(rows, m)
-        return (pma * pmd).sum(axis=1), pmd.sum(axis=1)
-    impl = _impl()
     with _obs.phase_timer(name, "index_build"):
         arena = operand_arena(ancestors, cache)
         if probe_backend == "ttree":
             tp_keys, tp_padded = arena.turning_points()
     with _obs.phase_timer(name, "probe"):
         if probe_backend == "ttree":
-            return impl.pm_dot_hits_ttree(
+            return _numpy.pm_dot_hits_ttree(
                 tp_keys, tp_padded, descendants.starts, positions, rows, m
             )
-        return impl.pm_dot_hits_rank(
+        return _numpy.pm_dot_hits_rank(
             arena.starts,
             arena.sorted_ends,
             descendants.starts,
@@ -264,22 +195,10 @@ def bifocal_sparse_dots(
 ) -> np.ndarray:
     """Bifocal sparse-part probe: per-trial ``Σ PMA·PMD`` restricted to
     positions with ``PMA < threshold``."""
-    if perf.reference_kernels_enabled():
-        from repro.index.stab import StabbingCounter, start_membership_many
-
-        with _obs.phase_timer(name, "index_build"):
-            counter = StabbingCounter(ancestors)
-        with _obs.phase_timer(name, "probe"):
-            pma = counter.count_many(positions).reshape(rows, m)
-            pmd = start_membership_many(
-                descendants.starts, positions
-            ).reshape(rows, m)
-        return (pma * (pma < threshold) * pmd).sum(axis=1)
-    impl = _impl()
     with _obs.phase_timer(name, "index_build"):
         arena = operand_arena(ancestors, cache)
     with _obs.phase_timer(name, "probe"):
-        return impl.bifocal_dots(
+        return _numpy.bifocal_dots(
             arena.starts,
             arena.sorted_ends,
             descendants.starts,
@@ -301,13 +220,12 @@ def cross_hits(
     name: str,
 ) -> np.ndarray:
     """CROSS probe: per-trial count of sampled (a, d) pairs joining."""
-    impl = _impl()
     with _obs.phase_timer(name, "probe"):
         arena = operand_arena(ancestors)
         a_starts = arena.starts[a_indices]
         a_ends = arena.ends[a_indices]
         d_starts = descendants.starts[d_indices]
-        return impl.cross_hits(a_starts, a_ends, d_starts, rows, m)
+        return _numpy.cross_hits(a_starts, a_ends, d_starts, rows, m)
 
 
 def span_hits(
@@ -321,11 +239,10 @@ def span_hits(
 ) -> np.ndarray:
     """SEMI-A probe: per-trial count of sampled ancestors containing at
     least one descendant start."""
-    impl = _impl()
     with _obs.phase_timer(name, "probe"):
         arena = operand_arena(ancestors)
         sample_starts = arena.starts[indices]
         sample_ends = arena.ends[indices]
-        return impl.span_hits(
+        return _numpy.span_hits(
             descendants.starts, sample_starts, sample_ends, rows, m
         )

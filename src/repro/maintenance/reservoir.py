@@ -28,7 +28,6 @@ from repro.core.element import Element
 from repro.core.errors import EstimationError
 from repro.core.nodeset import NodeSet
 from repro.core.rng import SeedLike, make_rng
-from repro.index.stab import StabbingCounter
 
 
 class ReservoirSample:
@@ -128,6 +127,5 @@ class ReservoirSample:
         """
         if not self._items or len(ancestors) == 0:
             return 0.0
-        counter = StabbingCounter(ancestors)
-        total = sum(counter.count(d.start) for d in self._items)
+        total = sum(ancestors.stab_count(d.start) for d in self._items)
         return total * self._live / len(self._items)

@@ -7,14 +7,18 @@ architecture"):
   ``repro.estimators`` are numpy bulk operations; the original
   per-element loops are retained as ``*_reference`` functions and the
   property suite asserts bit-for-bit agreement.  :func:`reference_kernels`
-  switches the package back to the loop implementations, which is how
-  the tests compare whole estimators against the spec.
+  switches the package back to those loops (the PL, PH and coverage
+  builders, the position tables and the turning points), which is how
+  the tests compare whole estimators against the spec.  It does not
+  reach the sampling probes, which have one runtime path
+  (:mod:`repro.kernels.fused`); their oracle is
+  :func:`repro.qa.reference.reference_probes`, which enters this mode
+  too.
 * **cache** — :class:`SummaryCache` memoizes built summaries under
   content keys, storing each on its key's second miss, so budget/method
   sweeps build each recurring one at most twice;
-  :class:`IndexCache` does the same for the probe indexes the sampling
-  estimators build (stabbing arrays, T-tree, XR-tree, start-position
-  B+-tree).
+  :class:`IndexCache` does the same for what the sampling estimators'
+  probes read (operand arenas and stab-count tables).
 """
 
 from __future__ import annotations
@@ -56,7 +60,9 @@ def reference_kernels(enabled: bool = True) -> Iterator[None]:
 
     Only the property tests and the qa oracles should need this; it
     exists so the vectorized and reference paths stay comparable
-    through the exact same public entry points.
+    through the exact same public entry points.  The sampling probes
+    are not among them: :func:`repro.qa.reference.reference_probes`
+    enters this mode and swaps in the paper's probe structures too.
     """
     global _reference_mode
     previous = _reference_mode
@@ -67,9 +73,8 @@ def reference_kernels(enabled: bool = True) -> Iterator[None]:
         _reference_mode = previous
 
 
-# Imported last: index_cache consults reference_kernels_enabled (defined
-# above) and pulls in the index structures, which themselves import this
-# package for the kernel switch.
+# Imported last: index_cache imports this package to consult
+# reference_kernels_enabled (defined above).
 from repro.perf.index_cache import (  # noqa: E402
     IndexCache,
     active_index_cache,

@@ -1,28 +1,34 @@
-"""Content-keyed cache for built probe indexes.
+"""Content-keyed cache for the probe structures of the sampling estimators.
 
-The sampling estimators probe per-trial sample positions against an index
-over one operand: IM-DA-Est stabs the ancestor set (rank arrays, T-tree
-or XR-tree), PM-Est and bifocal sampling additionally test descendant
-start membership (B+-tree).  A Figure 8 sweep calls ``estimate`` hundreds
-of times over the same eleven operand pairs, and before this cache each
-call rebuilt its index from scratch — O(|A| log |A|) construction to
-answer m ≈ 100 probes.
+The sampling estimators probe per-trial sample positions against one
+operand: IM-DA-Est, SYS and SEMI-D stab the ancestor set at descendant
+starts, PM-Est and bifocal sampling at uniform workspace positions.  A
+Figure 8 sweep calls ``estimate`` hundreds of times over the same
+eleven operand pairs, so what those probes read is worth keeping
+between calls.
 
 :class:`IndexCache` extends :class:`~repro.perf.cache.SummaryCache` — the
 same bounded LRU, thread safety, byte accounting, obs counters (here
 under ``index_cache.*``) and doorkeeper, which stores an entry on its
-key's second miss — with the key schema for probe structures:
-``(kind, NodeSet.fingerprint, *config)`` where *kind* names the structure
-(``"stab"``, ``"ttree"``, ...) and *config* carries every constructor
-parameter that shapes it (B+-tree order, XR-tree page size).  Content
-keys mean estimators probing the same node set share one built index no
-matter which estimator or trial asked first.
+key's second miss — with entries keyed by :attr:`NodeSet.fingerprint`:
+
+* ``("arena", fingerprint)`` — the operand's
+  :class:`~repro.kernels.arena.OperandArena`, through :meth:`arena`;
+* ``("stab_table", fp_A, fp_D)`` — the stab counts of every descendant
+  start, through :func:`repro.kernels.arena.stab_count_table`;
+* ``("bifocal_dense", fp_A, fp_D, threshold)`` — bifocal sampling's
+  exact dense part;
+* ``("join_size", fp_A, fp_D)`` — the exact join size the experiment
+  harness scores against.
+
+Content keys mean estimators probing the same node set share one entry
+no matter which estimator or trial asked first.
 
 The ambient installation (:func:`use_index_cache`) mirrors the summary
 cache's, with one twist: :func:`resolve_index_cache` reports *no* cache
-while :func:`repro.perf.reference_kernels` is active, so the reference
-path benchmarked against the batched one genuinely rebuilds per call,
-exactly like the pre-optimization code.
+while :func:`repro.perf.reference_kernels` is active, so a run under
+reference mode rebuilds everything per call, exactly like the
+pre-optimization code.
 """
 
 from __future__ import annotations
@@ -36,60 +42,18 @@ from repro.core.nodeset import NodeSet
 from repro.perf.cache import SummaryCache
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.index.bplus import BPlusTree
-    from repro.index.stab import StabbingCounter
-    from repro.index.ttree import TTree
-    from repro.index.xrtree import XRTree
     from repro.kernels.arena import OperandArena
-
-# The index modules themselves import ``repro.perf`` (for the
-# reference-kernel switch), so they are imported lazily inside the
-# builder methods here to keep either import order working.
 
 
 class IndexCache(SummaryCache):
-    """A bounded LRU cache of probe indexes, keyed by operand content.
+    """A bounded LRU cache of probe structures, keyed by operand content.
 
-    Inherits the :class:`SummaryCache` machinery wholesale; adds typed
-    ``get_or_build`` wrappers so call sites cannot disagree on key
+    Inherits the :class:`SummaryCache` machinery wholesale; adds the
+    typed :meth:`arena` wrapper so call sites cannot disagree on its key
     layout.  Records obs counters under ``index_cache.*``.
     """
 
     metric_kind = "index_cache"
-
-    def stabbing_counter(self, node_set: NodeSet) -> "StabbingCounter":
-        """The rank-identity stabbing oracle over ``node_set``."""
-        from repro.index.stab import StabbingCounter
-
-        return self.get_or_build(
-            ("stab", node_set.fingerprint),
-            lambda: StabbingCounter(node_set),
-        )
-
-    def ttree(self, node_set: NodeSet, order: int | None = None) -> "TTree":
-        """The T-tree over ``node_set``'s covering table."""
-        from repro.index.bplus import DEFAULT_ORDER
-        from repro.index.ttree import TTree
-
-        if order is None:
-            order = DEFAULT_ORDER
-        return self.get_or_build(
-            ("ttree", node_set.fingerprint, order),
-            lambda: TTree(node_set, order=order),
-        )
-
-    def xrtree(
-        self, node_set: NodeSet, page_size: int | None = None
-    ) -> "XRTree":
-        """The XR-tree over ``node_set``'s intervals."""
-        from repro.index.xrtree import DEFAULT_PAGE_SIZE, XRTree
-
-        if page_size is None:
-            page_size = DEFAULT_PAGE_SIZE
-        return self.get_or_build(
-            ("xrtree", node_set.fingerprint, page_size),
-            lambda: XRTree(node_set, page_size=page_size),
-        )
 
     def arena(self, node_set: NodeSet) -> "OperandArena":
         """The SoA operand arena over ``node_set`` (fused kernels)."""
@@ -98,21 +62,6 @@ class IndexCache(SummaryCache):
         return self.get_or_build(
             ("arena", node_set.fingerprint),
             lambda: OperandArena(node_set),
-        )
-
-    def start_index(
-        self, node_set: NodeSet, order: int | None = None
-    ) -> "BPlusTree":
-        """The start-position B+-tree over ``node_set`` (PM-Est's PMD)."""
-        from repro.index.bplus import DEFAULT_ORDER, start_position_index
-
-        if order is None:
-            order = DEFAULT_ORDER
-        return self.get_or_build(
-            ("start_index", node_set.fingerprint, order),
-            lambda: start_position_index(
-                [int(s) for s in node_set.starts], order=order
-            ),
         )
 
 

@@ -23,9 +23,8 @@ The oracles cover the layers named in the ROADMAP's production story:
   exact size).
 * ``fused-vs-reference`` — the fused single-pass kernels
   (:mod:`repro.kernels.fused`) equal the paper's per-call
-  index_build→probe composition bit-for-bit, on every probe backend,
-  every available kernel backend (numpy, numba when installed) and
-  every cache tier.
+  index_build→probe composition (:mod:`repro.qa.reference`)
+  bit-for-bit, on every probe backend and every cache tier.
 * ``wire-roundtrip`` — the binary zero-copy wire format and the JSON
   compatibility form round-trip every request/response exactly, and
   the service answers both formats of one seeded request identically.
@@ -1142,53 +1141,51 @@ def check_fused_vs_reference(case: Case) -> None:
     """Fused kernels ≡ the paper's per-call index composition.
 
     :mod:`repro.kernels.fused` collapses every sampling estimator's
-    index_build→probe→scale sequence into single-pass kernels (with a
-    table-gather tier from a pair's second probe under an
-    :class:`IndexCache`, and a compiled backend when numba is
-    installed).  The contract is
-    bit-for-bit: for every sampling method, every probe backend the
-    method accepts, and every available kernel backend, the fused
-    estimate must equal the one produced under
-    :func:`repro.perf.reference_kernels` — which rebuilds the original
-    StabbingCounter/TTree/XRTree composition per call — in value *and*
-    details, cached or not.
+    index_build→probe→scale sequence into single-pass numpy kernels
+    (with a table-gather tier from a pair's second probe under an
+    :class:`IndexCache`).  The contract is bit-for-bit: for every
+    sampling method and every probe backend the method accepts, the
+    fused estimate must equal the one produced under
+    :func:`repro.qa.reference.reference_probes` — which builds the rank
+    identity, T-tree, XR-tree or start-position B+-tree per call and
+    probes it one point at a time, from the estimator's own draws — in
+    value *and* details, uncached, on a cache's first probe and on its
+    second.  Bifocal runs twice: at its default threshold and at
+    ``threshold=1``, where every covered position is dense, so a
+    position at exactly the threshold must count in the exact part
+    only.
     """
-    from repro.kernels.backend import available_backends as kernel_backends
-    from repro.kernels.backend import use_kernel_backend
-    from repro.perf import reference_kernels
+    from repro.qa.reference import reference_probes
 
     a, d, w = case.ancestors, case.descendants, case.workspace
-    jobs = [("IM", backend) for backend in ("rank", "ttree", "xrtree")]
-    jobs += [("PM", backend) for backend in ("rank", "ttree")]
-    jobs += [(m, None) for m in ("CROSS", "SYS", "SEMI-A", "SEMI-D", "BIFOCAL")]
-    for method, probe_backend in jobs:
-        config = method_config(method, case)
-        if probe_backend is not None:
-            config["backend"] = probe_backend
+    jobs = [("IM", {"backend": b}) for b in ("rank", "ttree", "xrtree")]
+    jobs += [("PM", {"backend": b}) for b in ("rank", "ttree")]
+    jobs += [(m, {}) for m in ("CROSS", "SYS", "SEMI-A", "SEMI-D", "BIFOCAL")]
+    jobs.append(("BIFOCAL", {"threshold": 1}))
+    for method, extra in jobs:
+        config = {**method_config(method, case), **extra}
         try:
-            with reference_kernels():
+            with reference_probes():
                 want = api.estimate(a, d, method, workspace=w, **config)
         except ReproError:
             continue
-        label = method if probe_backend is None else f"{method}/{probe_backend}"
-        for kernel in kernel_backends():
-            with use_kernel_backend(kernel):
-                fused = api.estimate(a, d, method, workspace=w, **config)
-                with use_index_cache(IndexCache()):
-                    cold = api.estimate(a, d, method, workspace=w, **config)
-                    warm = api.estimate(a, d, method, workspace=w, **config)
-            for tier, got in (
-                ("direct", fused),
-                ("cache-cold", cold),
-                ("cache-warm", warm),
-            ):
-                if got.value != want.value or got.details != want.details:
-                    _fail(
-                        "fused-vs-reference",
-                        f"{label} on kernel backend {kernel!r} ({tier}): "
-                        f"fused {got.value!r}/{got.details!r} != reference "
-                        f"{want.value!r}/{want.details!r}",
-                    )
+        label = "/".join([method, *(f"{k}={v}" for k, v in extra.items())])
+        direct = api.estimate(a, d, method, workspace=w, **config)
+        with use_index_cache(IndexCache()):
+            cold = api.estimate(a, d, method, workspace=w, **config)
+            warm = api.estimate(a, d, method, workspace=w, **config)
+        for tier, got in (
+            ("direct", direct),
+            ("cache-cold", cold),
+            ("cache-warm", warm),
+        ):
+            if got.value != want.value or got.details != want.details:
+                _fail(
+                    "fused-vs-reference",
+                    f"{label} ({tier}): fused {got.value!r}/"
+                    f"{got.details!r} != reference "
+                    f"{want.value!r}/{want.details!r}",
+                )
 
 
 def check_wire_roundtrip(case: Case) -> None:
@@ -1294,7 +1291,8 @@ def check_incremental_vs_rebuild(case: Case) -> None:
       reassociation only);
     * the PH cell grid, integer-identical as a dict;
     * the dynamic T-tree's stabbing count at every turning point and
-      every element endpoint equals a fresh :class:`StabbingCounter`;
+      every element endpoint equals the rebuilt node set's rank
+      identity (:meth:`NodeSet.stab_count`);
     * coverage bounds (merged intervals) exactly;
     * the reservoir is a subset of the live population at the right
       size.
@@ -1302,7 +1300,6 @@ def check_incremental_vs_rebuild(case: Case) -> None:
     from repro.estimators.coverage_histogram import merged_interval_bounds
     from repro.estimators.ph_histogram import cell_histogram
     from repro.estimators.pl_histogram import PLHistogram
-    from repro.index.stab import StabbingCounter
     from repro.stream import LiveWorkspace, MutationFeed
 
     pool: dict[tuple[int, int], Element] = {}
@@ -1382,17 +1379,16 @@ def check_incremental_vs_rebuild(case: Case) -> None:
                     f"{where}: PH cell grid diverged from rebuild",
                 )
             ttree = live.ttree(tag)
-            counter = StabbingCounter(rebuilt)
             positions = {p for p, _ in ttree.turning_points()}
             positions.update(int(s) for s in rebuilt.starts)
             positions.update(int(e) for e in rebuilt.ends)
             for position in sorted(positions):
-                if ttree.count(position) != counter.count(position):
+                if ttree.count(position) != rebuilt.stab_count(position):
                     _fail(
                         "incremental-vs-rebuild",
                         f"{where}: T-tree stab count at {position} is "
                         f"{ttree.count(position)} != "
-                        f"{counter.count(position)}",
+                        f"{rebuilt.stab_count(position)}",
                     )
             if not np.array_equal(
                 live.coverage_bounds(tag), merged_interval_bounds(rebuilt)

@@ -38,7 +38,6 @@ import numpy as np
 from repro.core.nodeset import NodeSet
 from repro.core.workspace import Workspace
 from repro.estimators.registry import make_estimator
-from repro.index.stab import StabbingCounter
 from repro.join import containment_join_size
 from repro.qa.generators import disjoint_operands, random_case
 
@@ -97,8 +96,7 @@ def _stabbing_height(ancestors: NodeSet) -> int:
     The maximum over the continuum is attained at some interval start,
     so probing the starts suffices.
     """
-    counter = StabbingCounter(ancestors)
-    return int(counter.count_many(ancestors.starts).max(initial=0))
+    return int(ancestors.stab_counts(ancestors.starts).max(initial=0))
 
 
 def _gate_workload(

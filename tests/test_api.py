@@ -14,7 +14,11 @@ import pytest
 
 import repro
 from repro import api
-from repro.core.errors import EstimationError, UnknownEstimatorError
+from repro.core.errors import (
+    EstimationError,
+    InvalidNodeSetError,
+    UnknownEstimatorError,
+)
 from repro.core.workspace import Workspace
 from repro.estimators.base import Estimate
 from repro.estimators.registry import canonical_name
@@ -108,6 +112,90 @@ class TestEstimateFacade:
         )
         assert first.value == second.value == third.value == bare.value
         assert cache.stats()["hits"] > 0
+
+
+NOT_A_NODE_SET = "operand must be a NodeSet"
+NOT_A_WORKSPACE = "workspace must be a Workspace"
+
+#: Calls with a type-confused argument: the typed error each must raise
+#: and a fragment of its message.
+TYPE_CONFUSED_CALLS = {
+    "list-ancestors": (
+        InvalidNodeSetError,
+        NOT_A_NODE_SET,
+        lambda a, d: repro.estimate([1, 2], d, "IM", num_samples=2),
+    ),
+    "none-descendants": (
+        InvalidNodeSetError,
+        NOT_A_NODE_SET,
+        lambda a, d: repro.estimate(a, None, "IM", num_samples=2),
+    ),
+    "tuple-workspace": (
+        EstimationError,
+        NOT_A_WORKSPACE,
+        lambda a, d: repro.estimate(
+            a, d, "PM", num_samples=2, workspace=(0, 10)
+        ),
+    ),
+    "string-workspace": (
+        EstimationError,
+        NOT_A_WORKSPACE,
+        lambda a, d: repro.estimate(
+            a, d, "IM", num_samples=2, workspace="x"
+        ),
+    ),
+    "unknown-keyword": (
+        EstimationError,
+        "invalid configuration for IM",
+        lambda a, d: repro.estimate(a, d, "IM", num_samples=2, bogus=1),
+    ),
+    "string-samples": (
+        EstimationError,
+        "invalid configuration for IM",
+        lambda a, d: repro.estimate(a, d, "IM", num_samples="3"),
+    ),
+    "string-seed": (
+        EstimationError,
+        "invalid configuration for IM",
+        lambda a, d: repro.estimate(a, d, "IM", num_samples=2, seed="x"),
+    ),
+    "string-buckets": (
+        EstimationError,
+        "invalid configuration for PL",
+        lambda a, d: repro.estimate(a, d, "PL", num_buckets="4"),
+    ),
+    "string-threshold": (
+        EstimationError,
+        "invalid configuration for BIFOCAL",
+        lambda a, d: repro.estimate(
+            a, d, "BIFOCAL", num_samples=2, threshold="x"
+        ),
+    ),
+    "make-estimator-keyword": (
+        EstimationError,
+        "invalid configuration for IM",
+        lambda a, d: repro.make_estimator("IM", num_samples=2, bogus=1),
+    ),
+    "optimize-keyword": (
+        EstimationError,
+        "invalid configuration for PL",
+        lambda a, d: repro.optimize([a, d], "PL", bogus=1),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TYPE_CONFUSED_CALLS))
+def test_type_confused_arguments_raise_typed_errors(case, figure1_tree):
+    """Malformed operands, workspaces and configurations raise the
+    package's typed errors, never a bare AttributeError or TypeError; a
+    configuration the constructor rejects names its method and chains
+    the constructor's TypeError."""
+    error_type, fragment, call = TYPE_CONFUSED_CALLS[case]
+    a, d = figure1_tree
+    with pytest.raises(error_type, match=fragment) as excinfo:
+        call(a, d)
+    if fragment.startswith("invalid configuration"):
+        assert isinstance(excinfo.value.__cause__, TypeError)
 
 
 class TestBuildCatalog:
@@ -243,6 +331,28 @@ class TestOneProcess:
                 for name in names
             ):
                 found.append(module)
+        assert found == []
+
+    def test_one_runtime_probe_path(self):
+        """The sampling probes have one runtime path, the fused numpy
+        kernels: no module imports numba, only repro/qa imports the
+        reference probes, and neither the kernels nor the index
+        structures branch on reference mode."""
+        found = []
+        for module, node in _package_nodes():
+            for name in _imported_names(node):
+                if name.split(".")[0] == "numba":
+                    found.append((module, name))
+                if name.startswith("repro.qa.reference") and not (
+                    module.startswith("qa/")
+                ):
+                    found.append((module, name))
+            if (
+                module.startswith(("kernels/", "index/"))
+                and isinstance(node, ast.Call)
+                and "reference_kernels_enabled" in ast.unparse(node.func)
+            ):
+                found.append((module, "reference_kernels_enabled()"))
         assert found == []
 
 

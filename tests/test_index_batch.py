@@ -1,10 +1,11 @@
-"""Batched probe kernels and multi-trial sampling paths vs references.
+"""Probe kernels and multi-trial sampling paths vs references.
 
-Three bit-for-bit contracts from the batched-probe layer:
+Three bit-for-bit contracts:
 
-* the bulk probe kernels (``count_many``, ``stab_count_many``,
-  ``start_membership_many``) equal their retained ``*_reference`` loops
-  on arbitrary node sets and probe positions;
+* the numpy probe kernels (rank identity, T-tree turning-point floor,
+  start membership) equal the paper's structures — the rank identity,
+  T-tree, XR-tree and start-position B+-tree — probed one point at a
+  time, on arbitrary node sets and probe positions;
 * ``estimate_trials(A, D, k)`` returns exactly what ``k`` sequential
   ``estimate`` calls would — values, details and the generator state
   left behind — with or without an :class:`~repro.perf.IndexCache`;
@@ -12,8 +13,9 @@ Three bit-for-bit contracts from the batched-probe layer:
   fresh-instance-per-repetition pattern, and the harness's batched
   evaluation produces the same rows as the sequential reference path.
 
-Plus the :class:`IndexCache` semantics: content-keyed sharing, LRU
-eviction, reference-mode bypass and the ``index_cache.*`` obs counters.
+Plus the :class:`IndexCache` semantics: content-keyed sharing of
+arenas and stab-count tables, LRU eviction, reference-mode bypass and
+the ``index_cache.*`` obs counters.
 """
 
 from __future__ import annotations
@@ -40,14 +42,11 @@ from repro.estimators.semijoin_sampling import (
     SemijoinAncestorsEstimator,
     SemijoinDescendantsEstimator,
 )
-from repro.index.stab import (
-    StabbingCounter,
-    start_membership_many,
-    start_membership_many_reference,
-)
 from repro.index.ttree import TTree
 from repro.index.xrtree import XRTree
+from repro.kernels import _numpy, operand_arena, stab_count_table
 from repro.perf import IndexCache, resolve_index_cache, use_index_cache
+from repro.qa import reference
 from repro.xmltree.tree import TreeBuilder
 
 TAGS = ("a", "b", "c")
@@ -107,20 +106,29 @@ EDGE_CASE_POSITIONS = np.array(
 )
 
 
+def _per_point(count, positions: np.ndarray) -> np.ndarray:
+    return np.array([count(int(p)) for p in positions], dtype=np.int64)
+
+
 def _assert_probe_kernels_agree(node_set: NodeSet, positions: np.ndarray):
-    for index in (StabbingCounter(node_set), TTree(node_set)):
-        assert np.array_equal(
-            index.count_many(positions),
-            index.count_many_reference(positions),
-        ), type(index).__name__
+    want = _per_point(node_set.stab_count, positions)
+    assert np.array_equal(_per_point(TTree(node_set).count, positions), want)
     xrtree = XRTree(node_set)
-    assert np.array_equal(
-        xrtree.stab_count_many(positions),
-        xrtree.stab_count_many_reference(positions),
+    assert np.array_equal(_per_point(xrtree.stab_count, positions), want)
+    # One position per trial row: each row's sum is that position's count.
+    rows = positions.shape[0]
+    arena = operand_arena(node_set)
+    sums, __ = _numpy.stab_sum_max(
+        arena.starts, arena.sorted_ends, positions, rows, 1
     )
+    assert np.array_equal(sums, want)
+    keys, padded = arena.turning_points()
+    sums, __ = _numpy.ttree_sum_max(keys, padded, positions, rows, 1)
+    assert np.array_equal(sums, want)
+    assert np.array_equal(node_set.stab_counts(positions), want)
     assert np.array_equal(
-        start_membership_many(node_set.starts, positions),
-        start_membership_many_reference(node_set.starts, positions),
+        _numpy.membership(node_set.starts, positions),
+        reference.membership(node_set.starts, positions),
     )
 
 
@@ -136,13 +144,6 @@ class TestBatchedProbeKernels:
         _assert_probe_kernels_agree(
             node_set, np.array([], dtype=np.int64)
         )
-
-    @given(random_node_sets(), positions_arrays)
-    @settings(max_examples=40, deadline=None)
-    def test_reference_mode_dispatch(self, node_set, positions):
-        """Under reference kernels the bulk entry points run the loops."""
-        with perf.reference_kernels():
-            _assert_probe_kernels_agree(node_set, positions)
 
 
 #: Every batched sampling estimator, each with the probe backends it
@@ -329,7 +330,7 @@ class TestHarnessBatching:
             ),
         ]
         batched = evaluate(dataset, queries, methods, runs=4, seed=5)
-        with perf.reference_kernels():
+        with reference.reference_probes():
             sequential = evaluate(dataset, queries, methods, runs=4, seed=5)
         assert [(r.errors, r.estimates) for r in batched] == [
             (r.errors, r.estimates) for r in sequential
@@ -349,24 +350,25 @@ class TestIndexCache:
         __, a, *_ = xmark_operands
         cache = IndexCache()
         # A different NodeSet object with identical content shares the
-        # key: its miss is the key's second, which stores the index.
+        # key: its miss is the key's second, which stores the arena.
         clone = NodeSet(list(a), name=a.name)
-        built = cache.stabbing_counter(a)
-        first = cache.stabbing_counter(clone)
+        built = cache.arena(a)
+        first = cache.arena(clone)
         assert first is not built
-        assert cache.stabbing_counter(a) is first
-        assert cache.stabbing_counter(clone) is first
+        assert cache.arena(a) is first
+        assert cache.arena(clone) is first
         assert cache.stats()["hits"] == 2
         assert cache.stats()["misses"] == 2
 
     def test_distinct_structures_distinct_entries(self, xmark_operands):
-        __, a, *_ = xmark_operands
+        __, a, d, *_ = xmark_operands
         cache = IndexCache()
         for __ in range(2):
-            cache.stabbing_counter(a)
-            cache.ttree(a)
-            cache.xrtree(a)
-            cache.start_index(a)
+            cache.arena(a)
+            cache.arena(d)
+            stab_count_table(a, d, cache)
+            stab_count_table(d, a, cache)
+        # Two arenas and two tables: each operand order is its own table.
         assert len(cache) == 4
         assert cache.stats()["nbytes"] > 0
 
@@ -374,7 +376,7 @@ class TestIndexCache:
         __, a, d, *_ = xmark_operands
         cache = IndexCache(maxsize=1)
         for operand in (a, a, d, d):
-            cache.stabbing_counter(operand)
+            cache.arena(operand)
         assert cache.stats()["evictions"] == 1
         assert len(cache) == 1
 
@@ -405,7 +407,7 @@ class TestIndexCache:
         with obs.observe(registry=obs.MetricsRegistry()) as registry:
             cache = IndexCache()
             for __ in range(3):
-                cache.ttree(a)
+                cache.arena(a)
         counters = registry.counters()
         assert counters["index_cache.misses"] == 2
         assert counters["index_cache.hits"] == 1

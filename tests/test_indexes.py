@@ -6,7 +6,7 @@ import pytest
 from repro.core.element import Element
 from repro.core.errors import ReproError
 from repro.core.nodeset import NodeSet
-from repro.index import StabbingCounter, TTree, XRTree
+from repro.index import TTree, XRTree
 
 
 def brute_force_stab(node_set, position):
@@ -26,33 +26,33 @@ def xmark_module():
 
 
 class TestStabbingCounter:
+    """The rank identity :meth:`NodeSet.stab_count`, the oracle every
+    stabbing structure is validated against."""
+
     def test_figure1(self, figure1_tree):
         a, __ = figure1_tree
-        counter = StabbingCounter(a)
-        assert counter.count(6) == 2
-        assert counter.count(19) == 2
-        assert counter.count(10) == 1
-        assert counter.count(0) == 0
-        assert counter.count(23) == 0
+        assert a.stab_count(6) == 2
+        assert a.stab_count(19) == 2
+        assert a.stab_count(10) == 1
+        assert a.stab_count(0) == 0
+        assert a.stab_count(23) == 0
 
     def test_matches_brute_force(self, parlists):
-        counter = StabbingCounter(parlists)
         workspace = parlists.workspace()
         rng = np.random.default_rng(0)
         positions = rng.integers(workspace.lo - 5, workspace.hi + 5, size=300)
         for position in positions:
-            assert counter.count(int(position)) == brute_force_stab(
+            assert parlists.stab_count(int(position)) == brute_force_stab(
                 parlists, int(position)
             )
 
     def test_count_many_matches_scalar(self, parlists):
-        counter = StabbingCounter(parlists)
         positions = np.arange(
             parlists.workspace().lo, parlists.workspace().lo + 200
         )
-        vector = counter.count_many(positions)
+        vector = parlists.stab_counts(positions)
         assert vector.tolist() == [
-            counter.count(int(p)) for p in positions
+            parlists.stab_count(int(p)) for p in positions
         ]
 
 
@@ -64,13 +64,14 @@ class TestTTree:
 
     def test_matches_oracle(self, parlists):
         ttree = TTree(parlists)
-        counter = StabbingCounter(parlists)
         workspace = parlists.workspace()
         rng = np.random.default_rng(1)
         for position in rng.integers(
             workspace.lo - 3, workspace.hi + 3, size=300
         ):
-            assert ttree.count(int(position)) == counter.count(int(position))
+            assert ttree.count(int(position)) == parlists.stab_count(
+                int(position)
+            )
 
     def test_turning_point_count_linear(self, parlists):
         ttree = TTree(parlists)

@@ -1,33 +1,35 @@
-"""The repro.kernels layer: arenas, fused kernels, backend registry.
+"""The repro.kernels layer: arenas and fused kernels.
 
 Three contracts pinned here:
 
-* **backend registry** — numpy is always available; selecting numba on
-  a numpy-only install falls back silently and reports the fallback;
-  unknown names raise; ``use_kernel_backend`` restores the previous
-  backend on exit (including on error).
 * **fused-vs-reference parity** — every sampling estimator produces
   bit-for-bit identical estimates under the fused single-pass kernels
-  and under :func:`repro.perf.reference_kernels` (which rebuilds the
-  paper's per-call index composition), on every probe backend and every
-  available kernel backend, with and without an ambient
-  :class:`~repro.perf.IndexCache` (the table-gather tier).
+  and under :func:`repro.qa.reference.reference_probes` (which builds
+  the paper's index structures per call and probes them one point at a
+  time, from the estimator's own draws), on every probe backend, with
+  and without an ambient :class:`~repro.perf.IndexCache` (the
+  table-gather tier);
+* **phase attribution** — the lazy sort of a fresh ancestor operand's
+  end codes happens inside ``index_build``, never inside ``probe``;
 * **arena semantics** — operand arenas are views (no copies), fresh
   wrappers without a cache (no reference cycle pins an operand) and
   content-keyed through the cache with one; the stab-count table equals
-  the stabbing counter evaluated over every descendant start, is built
-  on a pair's second probe and gathered from on the third; reference
-  mode bypasses the turning-point cache on the node set.
+  the rank identity :meth:`NodeSet.stab_counts` over every descendant
+  start, is built on a pair's second probe and gathered from on the
+  third; reference mode bypasses the turning-point cache on the node
+  set.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
 from repro.core.element import Element
-from repro.core.errors import ReproError
 from repro.core.nodeset import NodeSet
+from repro.core.workspace import Workspace
 from repro.estimators.bifocal import BifocalEstimator
 from repro.estimators.cross_sampling import (
     CrossSamplingEstimator,
@@ -39,21 +41,15 @@ from repro.estimators.semijoin_sampling import (
     SemijoinAncestorsEstimator,
     SemijoinDescendantsEstimator,
 )
-from repro.index.stab import StabbingCounter
 from repro.kernels import (
-    KNOWN_BACKENDS,
     OPERAND_FIELDS,
     OperandArena,
-    available_backends,
-    kernel_backend,
+    fused,
     operand_arena,
-    set_kernel_backend,
     stab_count_table,
-    use_kernel_backend,
 )
 from repro.perf import IndexCache, reference_kernels, use_index_cache
-
-NUMBA_INSTALLED = "numba" in available_backends()
+from repro.qa.reference import reference_probes
 
 
 @pytest.fixture
@@ -62,45 +58,14 @@ def operands(xmark_small):
     return tree.node_set("desp"), tree.node_set("text")
 
 
-class TestBackendRegistry:
-    def test_numpy_always_available(self):
-        assert "numpy" in available_backends()
-        assert set(available_backends()) <= set(KNOWN_BACKENDS)
-
-    def test_default_backend_is_numpy(self):
-        assert kernel_backend() == "numpy"
-
-    def test_unknown_backend_raises(self):
-        with pytest.raises(ReproError, match="unknown kernel backend"):
-            set_kernel_backend("cython")
-        # the failed call must not have changed the active backend
-        assert kernel_backend() == "numpy"
-
-    def test_numba_selection_reports_actual_backend(self):
-        # The soft-dependency contract: selecting numba either activates
-        # it (installed) or falls back to numpy silently (absent) — the
-        # return value always names what is actually running.
-        try:
-            active = set_kernel_backend("numba")
-            expected = "numba" if NUMBA_INSTALLED else "numpy"
-            assert active == expected
-            assert kernel_backend() == expected
-        finally:
-            set_kernel_backend("numpy")
-
-    def test_use_kernel_backend_restores(self):
-        before = kernel_backend()
-        with use_kernel_backend("numba") as active:
-            assert active == kernel_backend()
-            assert active in available_backends()
-        assert kernel_backend() == before
-
-    def test_use_kernel_backend_restores_on_error(self):
-        before = kernel_backend()
-        with pytest.raises(RuntimeError):
-            with use_kernel_backend("numba"):
-                raise RuntimeError("boom")
-        assert kernel_backend() == before
+@pytest.fixture
+def operand_pairs(xmark_small, operands):
+    """The parity suites' pairs: ``desp // text`` and the self-join
+    ``listitem // listitem``, where a descendant often starts right
+    after an ancestor ends — the boundary the rank identity's
+    ``end < v`` and the T-tree's floor lookup must get right."""
+    listitems = xmark_small.tree.node_set("listitem")
+    return [operands, (listitems, listitems)]
 
 
 ESTIMATOR_CASES = [
@@ -148,29 +113,16 @@ def _estimate(make, seed, a, d, cache):
 )
 @pytest.mark.parametrize("cached", [False, True], ids=["direct", "cached"])
 class TestFusedVsReference:
-    def test_bit_for_bit(self, name, make, cached, operands):
+    def test_bit_for_bit(self, name, make, cached, operand_pairs):
         """Fused kernels == the paper's index composition, exactly."""
-        a, d = operands
-        for seed in (0, 7):
-            with reference_kernels():
-                want = _estimate(make, seed, a, d, None)
-            cache = IndexCache() if cached else None
-            got = _estimate(make, seed, a, d, cache)
-            assert got.value == want.value, name
-            assert got.details == want.details, name
-
-    def test_backends_agree(self, name, make, cached, operands):
-        """Every available kernel backend produces identical results."""
-        a, d = operands
-        cache = IndexCache() if cached else None
-        results = []
-        for backend in available_backends():
-            with use_kernel_backend(backend):
-                results.append(_estimate(make, 3, a, d, cache))
-        first = results[0]
-        for other in results[1:]:
-            assert other.value == first.value, name
-            assert other.details == first.details, name
+        for a, d in operand_pairs:
+            for seed in (0, 7):
+                with reference_probes():
+                    want = _estimate(make, seed, a, d, None)
+                cache = IndexCache() if cached else None
+                got = _estimate(make, seed, a, d, cache)
+                assert got.value == want.value, (name, a.name, seed)
+                assert got.details == want.details, (name, a.name, seed)
 
 
 class TestFusedEdgeCases:
@@ -182,7 +134,7 @@ class TestFusedEdgeCases:
         est = IMSamplingEstimator(num_samples=4, seed=0).estimate(
             a, NodeSet([])
         )
-        with reference_kernels():
+        with reference_probes():
             want = IMSamplingEstimator(num_samples=4, seed=0).estimate(
                 a, NodeSet([])
             )
@@ -193,11 +145,75 @@ class TestFusedEdgeCases:
         a = NodeSet([Element("a", 1, 4, 0)])
         d = NodeSet([Element("d", 2, 3, 1)])
         for __, make in ESTIMATOR_CASES:
-            with reference_kernels():
+            with reference_probes():
                 want = make(1).estimate(a, d)
             got = make(1).estimate(a, d)
             assert got.value == want.value
             assert got.details == want.details
+
+    def test_bifocal_threshold_position_counts_once(self):
+        """A position covered exactly τ times is dense: it counts in the
+        exact dense part and never again in the sampled sparse part."""
+        a = NodeSet(
+            [
+                Element("a", 1, 20, 0),
+                Element("a", 2, 19, 1),
+                Element("a", 3, 18, 2),
+            ]
+        )
+        d = NodeSet(
+            [
+                Element("d", 4, 5, 3),
+                Element("d", 6, 7, 3),
+                Element("d", 8, 9, 3),
+            ]
+        )
+        workspace = Workspace(0, 21)
+
+        def run():
+            return BifocalEstimator(
+                num_samples=50, seed=1, threshold=3
+            ).estimate(a, d, workspace)
+
+        with reference_probes():
+            want = run()
+        got = run()
+        for result in (got, want):
+            assert result.value == 9.0  # the exact join size
+            assert result.details["dense_exact"] == 9
+            assert result.details["sparse_estimate"] == 0.0
+        assert got.details == want.details
+
+
+PHASE_CASES = [
+    case
+    for case in ESTIMATOR_CASES
+    if case[0] in ("IM-rank", "IM-xrtree", "SEMI-D", "SYS")
+]
+
+
+@pytest.mark.parametrize(
+    "name,make", PHASE_CASES, ids=[c[0] for c in PHASE_CASES]
+)
+def test_end_sort_charged_to_index_build(name, make, operands, monkeypatch):
+    """A fresh ancestor operand sorts its end codes lazily; the direct
+    path reads them inside ``index_build``, so the sort is never
+    charged to ``probe``."""
+    a, d = operands
+    fresh = NodeSet.from_arrays(a.starts.copy(), a.ends.copy(), name="a")
+    real = fused._obs.phase_timer
+    sorted_at_close = []
+
+    @contextmanager
+    def recorder(estimator, stage):
+        with real(estimator, stage):
+            yield
+        if stage == "index_build":
+            sorted_at_close.append("sorted_ends" in fresh.__dict__)
+
+    monkeypatch.setattr(fused._obs, "phase_timer", recorder)
+    make(0).estimate(fresh, d)
+    assert sorted_at_close == [True], name
 
 
 class TestOperandArena:
@@ -290,9 +306,8 @@ class TestOperandArena:
             )
             assert response.status == "ok"
 
-        # A first round outside the measured one: lazy imports and a
-        # compiled backend's first-call compilation leave garbage of
-        # their own.
+        # A first round outside the measured one: lazy imports leave
+        # garbage of their own.
         exercise(0)
         gc.collect()
         gc.disable()
@@ -334,7 +349,7 @@ class TestStabCountTable:
         cache = IndexCache()
         assert stab_count_table(a, d, cache) is None  # first probe
         table = stab_count_table(a, d, cache)
-        want = StabbingCounter(a).count_many(d.starts)
+        want = a.stab_counts(d.starts)
         assert np.array_equal(table, want)
         assert table.dtype == np.int64
         assert not table.flags.writeable
@@ -368,20 +383,19 @@ class TestProbeTiers:
     second builds the stab-count table and its third gathers from it:
     every value and ``details`` field equals the reference on each."""
 
-    def test_first_second_third_probe(self, name, make, operands):
-        a, d = operands
-        key = ("stab_table", a.fingerprint, d.fingerprint)
-        with reference_kernels():
-            want = make(5).estimate(a, d)
-        for backend in available_backends():
+    def test_first_second_third_probe(self, name, make, operand_pairs):
+        for a, d in operand_pairs:
+            key = ("stab_table", a.fingerprint, d.fingerprint)
+            with reference_probes():
+                want = make(5).estimate(a, d)
             cache = IndexCache()
-            with use_kernel_backend(backend), use_index_cache(cache):
+            with use_index_cache(cache):
                 for probe in (1, 2, 3):
                     got = make(5).estimate(a, d)
-                    assert got.value == want.value, (name, backend, probe)
-                    assert got.details == want.details, (name, backend, probe)
+                    assert got.value == want.value, (name, a.name, probe)
+                    assert got.details == want.details, (name, a.name, probe)
                     assert (key in cache) == (probe >= 2), (name, probe)
             # probe 1: the table misses; probe 2: the table misses again
             # and is built, fetching the ancestor arena (its first miss);
             # probe 3: the table hits, and the arena is not fetched.
-            assert (cache.hits, cache.misses) == (1, 3), (name, backend)
+            assert (cache.hits, cache.misses) == (1, 3), (name, a.name)

@@ -260,8 +260,6 @@ class TestDynamicTTreeChurn:
         assert not dynamic._dirty
 
     def test_random_churn_matches_stabbing_counter(self, xmark_sets):
-        from repro.index.stab import StabbingCounter
-
         ancestors, __, __ws = xmark_sets
         rng = np.random.default_rng(5)
         live = list(ancestors.elements[:120])
@@ -276,10 +274,10 @@ class TestDynamicTTreeChurn:
                 element = live.pop(int(rng.integers(0, len(live))))
                 dynamic.delete(element)
                 free.append(element)
-        reference = StabbingCounter(NodeSet(tuple(live)))
+        reference = NodeSet(tuple(live))
         probes = {e.start for e in live} | {e.end for e in live}
         for position in sorted(probes):
-            assert dynamic.count(int(position)) == reference.count(
+            assert dynamic.count(int(position)) == reference.stab_count(
                 int(position)
             )
         assert len(dynamic) == len(live)

@@ -477,13 +477,15 @@ def artifacts():
     from repro.datasets import generate_xmark
     from repro.estimators.ph_histogram import cell_histogram
     from repro.estimators.pl_histogram import PLHistogram, equi_depth_edges
-    from repro.kernels.arena import OperandArena
+    from repro.kernels.arena import OperandArena, stab_count_table
     from repro.perf.index_cache import IndexCache
 
     dataset = generate_xmark(scale=0.05, seed=42)
     workspace = dataset.tree.workspace()
     ancestors = dataset.node_set("desp")
     descendants = dataset.node_set("text")
+    index_cache = IndexCache()
+    stab_count_table(ancestors, descendants, index_cache)  # a first probe
     return {
         "pl-ancestor": PLHistogram.build_ancestor(ancestors, workspace, 16),
         "pl-descendant": PLHistogram.build_descendant(
@@ -492,7 +494,7 @@ def artifacts():
         "ph-cells": cell_histogram(ancestors, workspace, 5),
         "pl-edges": equi_depth_edges(descendants, workspace, 16),
         "arena": OperandArena(ancestors),
-        "stab": IndexCache().stabbing_counter(ancestors),
+        "stab": stab_count_table(ancestors, descendants, index_cache),
     }
 
 

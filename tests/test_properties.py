@@ -16,7 +16,6 @@ from repro.estimators.bifocal import BifocalEstimator
 from repro.estimators.im_sampling import IMSamplingEstimator
 from repro.estimators.pl_histogram import PLHistogramEstimator
 from repro.index.bplus import BPlusTree
-from repro.index.stab import StabbingCounter
 from repro.index.ttree import TTree
 from repro.index.xrtree import XRTree
 from repro.join import (
@@ -152,7 +151,6 @@ class TestIndexEquivalences:
     @settings(max_examples=40, deadline=None)
     def test_stab_backends_agree(self, tree: DataTree):
         a = tree.node_set("a")
-        counter = StabbingCounter(a)
         ttree = TTree(a)
         xrtree = XRTree(a, page_size=3)
         xrtree.validate()
@@ -161,7 +159,7 @@ class TestIndexEquivalences:
             expected = sum(
                 1 for e in a if e.start <= position <= e.end
             )
-            assert counter.count(position) == expected
+            assert a.stab_count(position) == expected
             assert ttree.count(position) == expected
             assert xrtree.stab_count(position) == expected
 
