@@ -28,9 +28,7 @@ from repro.datasets import generate_dblp, generate_xmach, generate_xmark
 from repro.datasets.workloads import ALL_WORKLOADS
 from repro.estimators.bounds import join_size_bounds
 from repro.experiments.report import format_table
-from repro.feedback.correction import CorrectionModel
-from repro.feedback.runtime import record_feedback
-from repro.feedback.store import FeedbackStore
+from repro.feedback import CorrectionModel, FeedbackStore, record_feedback
 from repro.join.size import containment_join_size
 from repro.router.base import BOUND_METHOD, DEFAULT_CANDIDATES
 from repro.router.registry import resolve_router

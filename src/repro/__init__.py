@@ -79,10 +79,9 @@ from repro.api import (
     resolve_module,
     resolve_router,
     serve,
-    use_feedback,
 )
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 __all__ = [
     "CardinalityGenerator",
@@ -120,6 +119,5 @@ __all__ = [
     "resolve_module",
     "resolve_router",
     "serve",
-    "use_feedback",
     "__version__",
 ]

@@ -15,15 +15,15 @@ needs without touching package internals:
   service-backed, exact-oracle, or the pessimistic upper bound), with
   :func:`resolve_generator` / :func:`available_generators` mirroring
   the estimator registry's name resolution;
-* the closed loop — :class:`FeedbackStore` / :func:`record_feedback` /
-  :func:`use_feedback` accumulate what the serving layer answered and
-  how wrong it was, a :class:`CorrectionModel` learns per-query-class
-  multipliers from that history, and a :class:`Router` (resolved by
-  name through :func:`resolve_router` / :func:`available_routers`)
-  picks the answering method per query class when passed to
-  :func:`serve`;
-* the streaming layer — :class:`LiveWorkspace` maintains one tenant's
-  summaries/index/sample incrementally under a :class:`MutationFeed`
+* the closed loop — :class:`FeedbackStore` / :func:`record_feedback`
+  accumulate what the serving layer answered and how wrong it was
+  (truth enters through :meth:`FeedbackStore.observe_truth`), a
+  :class:`CorrectionModel` learns per-query-class multipliers from
+  that history, and a :class:`Router` (resolved by name through
+  :func:`resolve_router` / :func:`available_routers`) picks the
+  answering method per query class when passed to :func:`serve`;
+* the streaming layer — :class:`LiveWorkspace` keeps one tenant's
+  per-tag sorted region codes current under a :class:`MutationFeed`
   of insert/delete/update batches, :class:`CatalogStore` keeps many
   tenants with LRU disk residency, and either plugs into
   :func:`serve` via ``live=`` so requests carry a per-request
@@ -90,7 +90,6 @@ from repro.feedback import (
     FeedbackRecord,
     FeedbackStore,
     record_feedback,
-    use_feedback,
 )
 from repro.optimizer.generator import (
     CardinalityGenerator,
@@ -161,7 +160,6 @@ __all__ = [
     "resolve_module",
     "resolve_router",
     "serve",
-    "use_feedback",
     "use_index_cache",
     "write_node_set",
 ]

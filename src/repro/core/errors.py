@@ -100,9 +100,11 @@ class UnknownRouterError(UnknownEstimatorError):
 class FeedbackError(ReproError):
     """The feedback subsystem was configured or invoked incorrectly.
 
-    Raised for malformed :class:`~repro.feedback.FeedbackRecord` /
-    ``CorrectionModel`` wire payloads (wrong ``schema_version``, missing
-    fields), invalid store merges, and correction-model misuse.
+    Raised for a store, method, estimate or truth of the wrong type at
+    :func:`~repro.feedback.record_feedback` and
+    :meth:`~repro.feedback.FeedbackStore.observe_truth`, a malformed
+    store bound, and correction-model misuse (including a ``fit``
+    source that is not a store or an iterable of records).
     """
 
 

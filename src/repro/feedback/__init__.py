@@ -4,52 +4,36 @@ The closed-loop half of the serving stack (the other half is
 :mod:`repro.router`): a :class:`FeedbackStore` accumulates
 :class:`FeedbackRecord` rows — query class, method, estimate, truth when
 known, latency, degradation reason — with order-free per-(class, method)
-aggregates that snapshot/merge like :mod:`repro.obs` metrics, and a
-:class:`CorrectionModel` turns the truth-known rows into per-class
-log-space multipliers applied (opt-in) over raw estimates.
+aggregates, and a :class:`CorrectionModel` turns the truth-known rows
+into per-class log-space multipliers applied (opt-in) over raw
+estimates.
 
-Truth enters through :func:`observe_truth` / the ambient
-:func:`use_feedback` context — the exact cardinality generator and the
-qa oracles record the real sizes they compute, completing the records
-the service stored for the same operand pairs.
+Records enter through :func:`record_feedback` (the service calls it for
+every response when it holds a store); truth enters through
+:meth:`FeedbackStore.observe_truth`, which completes the records stored
+for the same operand pair.  Both take the store explicitly: there is no
+ambient store.
 """
 
-from repro.feedback.correction import (
-    CORRECTION_SCHEMA_VERSION,
-    CorrectionModel,
-    mean_relative_error,
-)
-from repro.feedback.runtime import (
-    enabled,
-    get_store,
-    observe_truth,
-    record_feedback,
-    use_feedback,
-)
+from repro.feedback.correction import CorrectionModel, mean_relative_error
 from repro.feedback.store import (
-    FEEDBACK_SCHEMA_VERSION,
     FeedbackRecord,
     FeedbackStore,
     MethodStats,
     featurize,
     pair_key,
     query_class,
+    record_feedback,
 )
 
 __all__ = [
-    "CORRECTION_SCHEMA_VERSION",
-    "FEEDBACK_SCHEMA_VERSION",
     "CorrectionModel",
     "FeedbackRecord",
     "FeedbackStore",
     "MethodStats",
-    "enabled",
     "featurize",
-    "get_store",
     "mean_relative_error",
-    "observe_truth",
     "pair_key",
     "query_class",
     "record_feedback",
-    "use_feedback",
 ]

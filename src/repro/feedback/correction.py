@@ -25,22 +25,17 @@ class it cannot improve worse.
 from __future__ import annotations
 
 import math
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
 from repro.core.errors import FeedbackError
-from repro.estimators.base import _from_wire_float, _to_wire
 from repro.feedback.store import FeedbackRecord, FeedbackStore
 
 __all__ = [
-    "CORRECTION_SCHEMA_VERSION",
     "CorrectionModel",
     "mean_relative_error",
 ]
-
-#: Version of the :meth:`CorrectionModel.to_dict` wire schema.
-CORRECTION_SCHEMA_VERSION = 1
 
 _MODES = ("linear", "median")
 
@@ -140,8 +135,9 @@ class CorrectionModel:
         """Fit per-class corrections from truth-known records.
 
         Args:
-            source: a :class:`FeedbackStore` or iterable of records;
-                only records with finite positive truth participate.
+            source: a :class:`FeedbackStore` or iterable of records
+                (anything else raises :class:`FeedbackError`); only
+                records with finite positive truth participate.
             holdout: fraction (0 ≤ h < 1) of each class's records (the
                 tail, in record order) reserved for validation: a class
                 keeps its fit only when held-out MRE does not increase.
@@ -154,11 +150,22 @@ class CorrectionModel:
             raise FeedbackError(
                 f"holdout must be in [0, 1), got {holdout}"
             )
-        records = (
-            source.records(with_truth=True)
-            if isinstance(source, FeedbackStore)
-            else list(source)
-        )
+        if isinstance(source, FeedbackStore):
+            records = source.records(with_truth=True)
+        else:
+            try:
+                records = list(source)
+            except TypeError as error:
+                raise FeedbackError(
+                    f"fit takes a FeedbackStore or an iterable of "
+                    f"FeedbackRecords, got {type(source).__name__}"
+                ) from error
+            for record in records:
+                if not isinstance(record, FeedbackRecord):
+                    raise FeedbackError(
+                        f"fit expected a FeedbackRecord, "
+                        f"got {type(record).__name__}"
+                    )
         by_class: dict[str, list[FeedbackRecord]] = {}
         for record in records:
             exact = record.exact
@@ -279,57 +286,3 @@ class CorrectionModel:
         # log1p(corrected) = log1p(value) + log(multiplier), i.e. the
         # shift learned on the log1p residual: (value + 1) · m − 1.
         return max(0.0, (max(0.0, value) + 1.0) * multiplier - 1.0)
-
-    # ------------------------------------------------------------------
-    # Wire schema
-    # ------------------------------------------------------------------
-
-    def to_dict(self) -> dict[str, Any]:
-        """Strict-JSON wire form (schema_version 1)."""
-        return {
-            "schema_version": CORRECTION_SCHEMA_VERSION,
-            "mode": self.mode,
-            "per_method": self.per_method,
-            "min_samples": self.min_samples,
-            "ridge": _to_wire(self.ridge),
-            "max_multiplier": _to_wire(self.max_multiplier),
-            "classes": {
-                query_class: [_to_wire(c) for c in coef.tolist()]
-                for query_class, coef in sorted(self._coef.items())
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "CorrectionModel":
-        """Inverse of :meth:`to_dict`; validates the schema version."""
-        if not isinstance(payload, Mapping):
-            raise FeedbackError(
-                f"correction payload must be a mapping, "
-                f"got {type(payload).__name__}"
-            )
-        version = payload.get("schema_version")
-        if version != CORRECTION_SCHEMA_VERSION:
-            raise FeedbackError(
-                f"unsupported correction schema_version {version!r} "
-                f"(this version reads {CORRECTION_SCHEMA_VERSION})"
-            )
-        try:
-            model = cls(
-                mode=str(payload.get("mode", "linear")),
-                per_method=bool(payload.get("per_method", True)),
-                min_samples=int(payload.get("min_samples", 4)),
-                ridge=float(_from_wire_float(payload.get("ridge", 1e-6))),
-                max_multiplier=float(
-                    _from_wire_float(payload.get("max_multiplier", 1e6))
-                ),
-            )
-            for query_class, coef in payload.get("classes", {}).items():
-                model._coef[str(query_class)] = np.asarray(
-                    [_from_wire_float(c) for c in coef],
-                    dtype=np.float64,
-                )
-        except (KeyError, TypeError, ValueError) as error:
-            raise FeedbackError(
-                f"malformed correction payload: {error}"
-            ) from error
-        return model

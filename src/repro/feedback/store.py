@@ -2,19 +2,16 @@
 
 Every answer the :class:`~repro.service.EstimationService` produces is a
 data point — which method ran, what it said, how long it took, and (when
-the memo table, the :class:`~repro.optimizer.generator.ExactGenerator`,
-or a qa oracle later produces the true size) how wrong it was.  Today
-that signal is discarded the moment the response is returned; the
+the caller later observes the true size) how wrong it was.  The
 :class:`FeedbackStore` keeps it, as
 
 * an append-only (bounded) log of :class:`FeedbackRecord` rows, and
 * exact per-``(query class, method)`` aggregates — observation counts,
-  error sums, latency sums — that survive any snapshot/merge order.
+  error sums, latency sums.
 
 The aggregates are deliberately *order-free* (counts and sums, the same
-discipline as :class:`~repro.obs.metrics.MetricsRegistry`): merging two
-snapshots is associative and commutative, so a router fed from ``K``
-worker stores makes exactly the decisions it would make single-threaded.
+discipline as :class:`~repro.obs.metrics.MetricsRegistry`): a router
+reads the same sums whatever order the records and truths arrived in.
 An EWMA latency is also maintained for display (it reacts faster), but
 anything a :class:`~repro.router.Router` consumes comes from the
 order-free sums.
@@ -29,27 +26,30 @@ truth-then-record produce identical aggregates.
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator
 
 from repro.core.errors import FeedbackError
-from repro.core.nodeset import NodeSet
-from repro.estimators.base import _from_wire_float, _to_wire
+from repro.core.nodeset import NodeSet, require_node_set
 
 __all__ = [
-    "FEEDBACK_SCHEMA_VERSION",
     "FeedbackRecord",
     "FeedbackStore",
     "MethodStats",
     "query_class",
     "featurize",
+    "record_feedback",
 ]
 
-#: Version of the :meth:`FeedbackRecord.to_dict` wire schema (and of the
-#: store's :meth:`FeedbackStore.snapshot` payload).  Bumped on renames or
-#: meaning changes; additions are backward compatible.
-FEEDBACK_SCHEMA_VERSION = 1
+
+def _require_real(name: str, value: object) -> None:
+    """Raise :class:`FeedbackError` unless ``value`` is a real number."""
+    if not isinstance(value, numbers.Real):
+        raise FeedbackError(
+            f"{name} must be a real number, got {type(value).__name__}"
+        )
 
 
 def _size_bucket(n: int) -> int:
@@ -135,68 +135,15 @@ class FeedbackRecord:
             return 0.0 if self.estimate == 0 else math.inf
         return (self.estimate - self.exact) / self.exact
 
-    def to_dict(self) -> dict[str, Any]:
-        """Strict-JSON wire form (schema_version 1)."""
-        return {
-            "schema_version": FEEDBACK_SCHEMA_VERSION,
-            "query_class": self.query_class,
-            "method": self.method,
-            "estimate": _to_wire(self.estimate),
-            "features": [_to_wire(f) for f in self.features],
-            "exact": _to_wire(self.exact),
-            "latency_s": _to_wire(self.latency_s),
-            "status": self.status,
-            "degraded_reason": self.degraded_reason,
-            "pair_key": self.pair_key,
-            "request_id": self.request_id,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "FeedbackRecord":
-        """Inverse of :meth:`to_dict`; validates the schema version."""
-        if not isinstance(payload, Mapping):
-            raise FeedbackError(
-                f"feedback record payload must be a mapping, "
-                f"got {type(payload).__name__}"
-            )
-        version = payload.get("schema_version")
-        if version != FEEDBACK_SCHEMA_VERSION:
-            raise FeedbackError(
-                f"unsupported feedback record schema_version {version!r} "
-                f"(this version reads {FEEDBACK_SCHEMA_VERSION})"
-            )
-        try:
-            return cls(
-                query_class=str(payload["query_class"]),
-                method=str(payload["method"]),
-                estimate=float(_from_wire_float(payload["estimate"])),
-                features=tuple(
-                    float(_from_wire_float(f))
-                    for f in payload.get("features", ())
-                ),
-                exact=_from_wire_float(payload.get("exact")),
-                latency_s=float(
-                    _from_wire_float(payload.get("latency_s", 0.0))
-                ),
-                status=str(payload.get("status", "ok")),
-                degraded_reason=payload.get("degraded_reason"),
-                pair_key=payload.get("pair_key"),
-                request_id=payload.get("request_id"),
-            )
-        except (KeyError, TypeError, ValueError) as error:
-            raise FeedbackError(
-                f"malformed feedback record payload: {error}"
-            ) from error
-
 
 @dataclass(slots=True)
 class MethodStats:
     """Order-free aggregates for one ``(query class, method)`` cell.
 
-    Everything the router reads is a count or a sum, so folding two
-    cells together (:meth:`merge`) commutes — the obs snapshot/merge
-    discipline.  ``ewma_latency_s`` is display-only (it depends on
-    arrival order by construction) and is never consumed by routing.
+    Everything the router reads is a count or a sum, so the cell does
+    not depend on the order its observations arrived in.
+    ``ewma_latency_s`` is display-only (it depends on arrival order by
+    construction) and is never consumed by routing.
     """
 
     count: int = 0
@@ -254,56 +201,6 @@ class MethodStats:
             self._EWMA_ALPHA,
         )
 
-    def merge(self, other: "MethodStats") -> None:
-        if other.count:
-            # Deterministic tie-less combination: the merged EWMA is the
-            # count-weighted mean of the two EWMAs, which is symmetric.
-            if self.ewma_latency_s is None:
-                self.ewma_latency_s = other.ewma_latency_s
-            elif other.ewma_latency_s is not None:
-                total = self.count + other.count
-                self.ewma_latency_s = (
-                    self.count * self.ewma_latency_s
-                    + other.count * other.ewma_latency_s
-                ) / total
-        self.count += other.count
-        self.truth_count += other.truth_count
-        self.abs_error_sum += other.abs_error_sum
-        self.error_sum += other.error_sum
-        self.latency_sum += other.latency_sum
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "count": self.count,
-            "truth_count": self.truth_count,
-            "abs_error_sum": _to_wire(self.abs_error_sum),
-            "error_sum": _to_wire(self.error_sum),
-            "latency_sum": _to_wire(self.latency_sum),
-            "ewma_latency_s": _to_wire(self.ewma_latency_s),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "MethodStats":
-        try:
-            return cls(
-                count=int(payload["count"]),
-                truth_count=int(payload["truth_count"]),
-                abs_error_sum=float(
-                    _from_wire_float(payload["abs_error_sum"])
-                ),
-                error_sum=float(_from_wire_float(payload["error_sum"])),
-                latency_sum=float(
-                    _from_wire_float(payload["latency_sum"])
-                ),
-                ewma_latency_s=_from_wire_float(
-                    payload.get("ewma_latency_s")
-                ),
-            )
-        except (KeyError, TypeError, ValueError) as error:
-            raise FeedbackError(
-                f"malformed method-stats payload: {error}"
-            ) from error
-
 
 def pair_key(ancestors: NodeSet, descendants: NodeSet) -> str:
     """Content key joining truth observations to feedback records."""
@@ -320,9 +217,9 @@ class FeedbackStore:
     """
 
     def __init__(self, *, max_records: int = 100_000) -> None:
-        if max_records < 0:
+        if not isinstance(max_records, numbers.Integral) or max_records < 0:
             raise FeedbackError(
-                f"max_records must be >= 0, got {max_records}"
+                f"max_records must be an int >= 0: {max_records!r}"
             )
         self.max_records = max_records
         self._lock = threading.Lock()
@@ -374,12 +271,13 @@ class FeedbackStore:
         records complete on arrival.  Returns how many retained records
         gained truth.
         """
-        return self.observe_truth_key(
-            pair_key(ancestors, descendants), float(exact)
-        )
+        require_node_set("ancestors", ancestors)
+        require_node_set("descendants", descendants)
+        return self.observe_truth_key(pair_key(ancestors, descendants), exact)
 
     def observe_truth_key(self, key: str, exact: float) -> int:
         """:meth:`observe_truth` by precomputed pair key."""
+        _require_real("exact", exact)
         exact = float(exact)
         filled = 0
         with self._lock:
@@ -469,85 +367,60 @@ class FeedbackStore:
                 "truths": len(self._truths),
             }
 
-    # ------------------------------------------------------------------
-    # Snapshot / merge (the obs protocol)
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> dict[str, Any]:
-        """A JSON-able copy of everything (records up to the bound).
-
-        ``merge`` of snapshots is associative and commutative over the
-        aggregates, so per-worker stores folded in any order yield the
-        same totals — the property the router's determinism rests on.
-        """
-        with self._lock:
-            return {
-                "schema_version": FEEDBACK_SCHEMA_VERSION,
-                "records": [r.to_dict() for r in self._records],
-                "dropped": self._dropped,
-                # Sorted classes, then sorted methods: the order sorting
-                # the (class, method) pairs gives.
-                "stats": {
-                    f"{qc}␟{method}": self._stats[qc][method].to_dict()
-                    for qc in sorted(self._stats)
-                    for method in sorted(self._stats[qc])
-                },
-                "truths": {
-                    key: _to_wire(value)
-                    for key, value in sorted(self._truths.items())
-                },
-            }
-
-    def merge(self, snapshot: Mapping[str, Any]) -> None:
-        """Fold another store's :meth:`snapshot` into this one."""
-        if not isinstance(snapshot, Mapping):
-            raise FeedbackError(
-                f"feedback snapshot must be a mapping, "
-                f"got {type(snapshot).__name__}"
-            )
-        version = snapshot.get("schema_version")
-        if version != FEEDBACK_SCHEMA_VERSION:
-            raise FeedbackError(
-                f"unsupported feedback snapshot schema_version "
-                f"{version!r} (this version reads "
-                f"{FEEDBACK_SCHEMA_VERSION})"
-            )
-        records = [
-            FeedbackRecord.from_dict(row)
-            for row in snapshot.get("records", ())
-        ]
-        stats: dict[tuple[str, str], MethodStats] = {}
-        for key, payload in snapshot.get("stats", {}).items():
-            qc, sep, method = key.partition("␟")
-            if not sep:
-                raise FeedbackError(
-                    f"malformed stats key in feedback snapshot: {key!r}"
-                )
-            stats[(qc, method)] = MethodStats.from_dict(payload)
-        with self._lock:
-            for key, value in snapshot.get("truths", {}).items():
-                self._truths.setdefault(
-                    str(key), float(_from_wire_float(value))
-                )
-            room = self.max_records - len(self._records)
-            self._records.extend(records[: max(0, room)])
-            self._dropped += int(snapshot.get("dropped", 0)) + max(
-                0, len(records) - max(0, room)
-            )
-            for cell_key, cell in stats.items():
-                self._cell(*cell_key).merge(cell)
-
-    @classmethod
-    def from_snapshot(
-        cls, snapshot: Mapping[str, Any], *, max_records: int = 100_000
-    ) -> "FeedbackStore":
-        store = cls(max_records=max_records)
-        store.merge(snapshot)
-        return store
-
     def __iter__(self) -> Iterator[FeedbackRecord]:
         return iter(self.records())
 
     def extend(self, records: Iterable[FeedbackRecord]) -> None:
         for record in records:
             self.add(record)
+
+
+def record_feedback(
+    ancestors: NodeSet,
+    descendants: NodeSet,
+    method: str,
+    estimate: float,
+    *,
+    store: FeedbackStore,
+    exact: float | None = None,
+    latency_s: float = 0.0,
+    status: str = "ok",
+    degraded_reason: str | None = None,
+    request_id: str | None = None,
+) -> FeedbackRecord:
+    """Record one served estimate into ``store``; returns the stored row.
+
+    Query class, features and pair key come from the operands.  The
+    service calls this once per response, so the argument checks are
+    ``isinstance`` tests: an operand that is not a :class:`NodeSet`
+    raises :class:`~repro.core.errors.InvalidNodeSetError`, and a
+    ``store``, method, estimate or ``exact`` of the wrong type raises
+    :class:`FeedbackError`.
+    """
+    require_node_set("ancestors", ancestors)
+    require_node_set("descendants", descendants)
+    if not isinstance(store, FeedbackStore):
+        raise FeedbackError(
+            f"store must be a FeedbackStore, got {type(store).__name__}"
+        )
+    if not isinstance(method, str):
+        raise FeedbackError(
+            f"method must be a string, got {type(method).__name__}"
+        )
+    _require_real("estimate", estimate)
+    if exact is not None:
+        _require_real("exact", exact)
+    return store.add(
+        FeedbackRecord(
+            query_class=query_class(ancestors, descendants),
+            method=method,
+            estimate=float(estimate),
+            features=featurize(ancestors, descendants),
+            exact=exact,
+            latency_s=latency_s,
+            status=status,
+            degraded_reason=degraded_reason,
+            pair_key=pair_key(ancestors, descendants),
+            request_id=request_id,
+        )
+    )

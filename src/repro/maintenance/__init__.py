@@ -14,9 +14,11 @@ up to date instead of rebuilding it per estimate:
   descendant set (Algorithm R with random-pairing deletions), feeding
   IM-DA-Est without re-sampling per estimate.
 
-:class:`repro.stream.LiveWorkspace` keeps all four per live tag,
-built on the tag's first synopsis read and maintained from then on
-under its mutation stream.
+The qa ``incremental-vs-rebuild`` oracle keeps all four per tag beside
+a :class:`repro.stream.LiveWorkspace`, applies the same mutation stream
+to both, and checks every synopsis against a from-scratch rebuild after
+each batch; ``results/maintenance_consistency.txt`` drives the classes
+directly.
 """
 
 from repro.maintenance.cells import IncrementalCellHistogram

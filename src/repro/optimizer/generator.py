@@ -54,7 +54,6 @@ from repro.estimators.registry import (
     make_estimator,
     nearest_names,
 )
-from repro.feedback import runtime as _feedback
 from repro.optimizer.chain import chain_join_size
 from repro.service.request import EstimateRequest
 
@@ -382,13 +381,6 @@ class ExactGenerator(CardinalityGenerator):
                 chain_join_size(state.node_sets[lo : hi + 1])
             )
             memo[(lo, hi)] = cached
-            if hi == lo + 1 and _feedback.enabled():
-                # An exact pair size is ground truth: feed it to the
-                # ambient feedback store so every estimate recorded for
-                # the same operand pair gains its error signal.
-                _feedback.observe_truth(
-                    state.node_sets[lo], state.node_sets[hi], cached
-                )
         return cached
 
 

@@ -36,9 +36,10 @@ The oracles cover the layers named in the ROADMAP's production story:
   pre-registered exact size.
 * ``incremental-vs-rebuild`` — churning the case's merged element pool
   through a seeded :class:`~repro.stream.MutationFeed` into a
-  :class:`~repro.stream.LiveWorkspace` keeps every maintained synopsis
-  (PL both roles, PH cell grid, dynamic T-tree stabbing counts,
-  coverage bounds, the node set itself) identical to a from-scratch
+  :class:`~repro.stream.LiveWorkspace` and, beside it, into the
+  paper's maintained synopses (:mod:`repro.maintenance`) keeps each of
+  them (the node set itself, coverage bounds, PL both roles, PH cell
+  grid, dynamic T-tree stabbing counts) identical to a from-scratch
   rebuild after *every* batch — integer statistics bit-exact, float
   ``total_length`` to 1e-12 relative — and the reservoir a subset of
   the live population.
@@ -84,6 +85,12 @@ from repro.join import (
     merge_join,
     nested_loop_join,
     stack_tree_join,
+)
+from repro.maintenance import (
+    DynamicTTree,
+    IncrementalCellHistogram,
+    IncrementalPLHistogram,
+    ReservoirSample,
 )
 from repro.optimizer.generator import PairwiseGenerator, PlanningState
 from repro.perf import IndexCache, SummaryCache, use_cache, use_index_cache
@@ -1273,19 +1280,43 @@ def check_wire_roundtrip(case: Case) -> None:
         )
 
 
+class _TagSynopses:
+    """The paper's four maintained synopses of one tag."""
+
+    def __init__(self, workspace: Workspace, seed: int) -> None:
+        self.pl = IncrementalPLHistogram(workspace, 8)
+        self.cells = IncrementalCellHistogram(workspace, 25)
+        self.ttree = DynamicTTree()
+        self.reservoir = ReservoirSample(16, seed=seed)
+
+    def insert(self, element: Element) -> None:
+        self.pl.insert(element)
+        self.cells.insert(element)
+        self.ttree.insert(element)
+        self.reservoir.add(element)
+
+    def remove(self, element: Element) -> None:
+        self.pl.remove(element)
+        self.cells.remove(element)
+        self.ttree.delete(element)
+        self.reservoir.remove(element)
+
+
 def check_incremental_vs_rebuild(case: Case) -> None:
     """Incrementally maintained synopses ≡ from-scratch rebuilds.
 
     The case's operands are merged into one element pool (dedup by
     region code — operands drawn from one document may share elements)
     and churned through a seeded :class:`~repro.stream.MutationFeed`.
-    Every synopsis of every bootstrapped tag is read before the first
-    batch (the workspace builds a tag's synopses on first read), so the
-    batches exercise incremental upkeep.  After *every* applied batch,
-    each live tag's maintained structures must equal a from-scratch
-    rebuild over the current population:
+    Each batch is applied to a :class:`~repro.stream.LiveWorkspace` and
+    to the four :mod:`repro.maintenance` synopses of every tag, which
+    are built from the bootstrap before the first batch, so the batches
+    exercise incremental upkeep.  After *every* applied batch, each
+    live tag's maintained structures must equal a from-scratch rebuild
+    over the current population:
 
     * the zero-copy node set equals the validated rebuild exactly;
+    * coverage bounds (merged intervals) exactly;
     * the PL statistics in both roles — integer counts bit-exact,
       ancestor ``total_length`` within 1e-12 relative (float
       reassociation only);
@@ -1293,7 +1324,6 @@ def check_incremental_vs_rebuild(case: Case) -> None:
     * the dynamic T-tree's stabbing count at every turning point and
       every element endpoint equals the rebuilt node set's rank
       identity (:meth:`NodeSet.stab_count`);
-    * coverage bounds (merged intervals) exactly;
     * the reservoir is a subset of the live population at the right
       size.
     """
@@ -1306,25 +1336,32 @@ def check_incremental_vs_rebuild(case: Case) -> None:
     for element in (*case.ancestors.elements, *case.descendants.elements):
         pool.setdefault((element.start, element.end), element)
     feed = MutationFeed(pool.values(), seed=case.seed)
-    live = LiveWorkspace(
-        case.workspace,
-        elements=feed.bootstrap(),
-        num_buckets=8,
-        num_cells=25,
-        reservoir_capacity=16,
-        seed=case.seed,
-    )
-    # Read every synopsis now: a tag's synopses are built on first read,
-    # so every batch below must keep them current incrementally.
-    for tag in live.tags():
-        live.pl_histogram(tag)
-        live.cell_histogram(tag)
-        live.ttree(tag)
-        live.reservoir(tag)
+    bootstrap = feed.bootstrap()
+    live = LiveWorkspace(case.workspace, elements=bootstrap)
+    synopses: dict[str, _TagSynopses] = {}
+
+    def maintained_synopses(tag: str) -> _TagSynopses:
+        kept = synopses.get(tag)
+        if kept is None:
+            kept = synopses[tag] = _TagSynopses(case.workspace, case.seed)
+        return kept
+
+    for element in bootstrap:
+        maintained_synopses(element.tag).insert(element)
     batch_size = max(1, len(pool) // 4)
     for batch in feed.batches(5, batch_size):
         live.apply(batch)
+        for mutation in batch.mutations:
+            element = mutation.element
+            if mutation.op == "insert":
+                maintained_synopses(element.tag).insert(element)
+                continue
+            maintained_synopses(element.tag).remove(element)
+            if mutation.replacement is not None:
+                replacement = mutation.replacement
+                maintained_synopses(replacement.tag).insert(replacement)
         for tag in live.tags():
+            kept = maintained_synopses(tag)
             maintained = live.node_set(tag)
             rebuilt = live.rebuild_node_set(tag)
             where = f"tag {tag!r} after batch {batch.index}"
@@ -1336,7 +1373,15 @@ def check_incremental_vs_rebuild(case: Case) -> None:
                     "incremental-vs-rebuild",
                     f"{where}: maintained arrays != rebuilt node set",
                 )
-            pl = live.pl_histogram(tag)
+            if not np.array_equal(
+                merged_interval_bounds(maintained),
+                merged_interval_bounds(rebuilt),
+            ):
+                _fail(
+                    "incremental-vs-rebuild",
+                    f"{where}: coverage bounds diverged from rebuild",
+                )
+            pl = kept.pl
             want_anc = PLHistogram.build_ancestor(
                 rebuilt, case.workspace, pl.num_buckets
             )
@@ -1369,7 +1414,7 @@ def check_incremental_vs_rebuild(case: Case) -> None:
                         f"{where}: descendant PL bucket {want.index} "
                         f"count {got.n} != rebuilt {want.n}",
                     )
-            cells = live.cell_histogram(tag)
+            cells = kept.cells
             want_cells = cell_histogram(
                 rebuilt, case.workspace, cells.side
             )
@@ -1378,7 +1423,7 @@ def check_incremental_vs_rebuild(case: Case) -> None:
                     "incremental-vs-rebuild",
                     f"{where}: PH cell grid diverged from rebuild",
                 )
-            ttree = live.ttree(tag)
+            ttree = kept.ttree
             positions = {p for p, _ in ttree.turning_points()}
             positions.update(int(s) for s in rebuilt.starts)
             positions.update(int(e) for e in rebuilt.ends)
@@ -1390,14 +1435,7 @@ def check_incremental_vs_rebuild(case: Case) -> None:
                         f"{ttree.count(position)} != "
                         f"{rebuilt.stab_count(position)}",
                     )
-            if not np.array_equal(
-                live.coverage_bounds(tag), merged_interval_bounds(rebuilt)
-            ):
-                _fail(
-                    "incremental-vs-rebuild",
-                    f"{where}: coverage bounds diverged from rebuild",
-                )
-            reservoir = live.reservoir(tag)
+            reservoir = kept.reservoir
             population = {(e.start, e.end) for e in rebuilt.elements}
             drawn = [(e.start, e.end) for e in reservoir.sample]
             # Random pairing may run under capacity while holes are

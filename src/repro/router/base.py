@@ -11,11 +11,10 @@ than a learned estimator.
 
 Determinism contract — every router here is a *pure function of (seed,
 feedback history)*: decisions read only the store's order-free
-aggregates (counts and sums, which snapshot/merge commutatively), ties
+aggregates (counts and sums, which arrival order cannot change), ties
 break on fixed candidate order, and the Thompson sampler derives its RNG
-from ``(seed, query class, pull counts)``.  Serving the same trace with
-any worker count, or folding per-worker stores in any order, yields the
-same routes.
+from ``(seed, query class, pull counts)``.  Serving the same trace
+yields the same routes.
 
 Routing is **off by default** (``EstimationService(router=None)``): the
 service's bit-identity gates promise that a request for method X is
@@ -324,7 +323,7 @@ class ThompsonRouter(Router):
     RNG is *derived*, not stateful: seeded from ``(router seed, query
     class, per-arm pull counts)``, so the draw — and therefore the
     decision — is a pure function of (seed, feedback history),
-    independent of worker count and merge order.
+    independent of the order the feedback arrived in.
     """
 
     name = "THOMPSON"

@@ -62,8 +62,13 @@ def canonical_router_name(name: str) -> str:
 
     Raises:
         UnknownRouterError: with ``name``/``candidates`` attributes and
-            a "did you mean" hint, mirroring the estimator registry.
+            a "did you mean" hint, mirroring the estimator registry; a
+            name that is not a string raises it with no candidates.
     """
+    if not isinstance(name, str):
+        raise UnknownRouterError(
+            name, (), f"router name must be a string, got {name!r}"
+        )
     key = name.strip().upper()
     key = _ROUTER_ALIASES.get(key, key)
     if key in _ROUTERS:

@@ -60,8 +60,12 @@ from repro.estimators.base import Estimate, Estimator
 from repro.estimators.registry import make_estimator
 from repro.estimators.sampling_base import SamplingEstimator
 from repro.feedback.correction import CorrectionModel
-from repro.feedback.runtime import record_feedback
-from repro.feedback.store import FeedbackStore, featurize, query_class
+from repro.feedback.store import (
+    FeedbackStore,
+    featurize,
+    query_class,
+    record_feedback,
+)
 from repro.router.base import BOUND_METHOD, Router
 from repro.router.registry import resolve_router
 from repro.obs.metrics import MetricsRegistry

@@ -6,10 +6,7 @@ The paper's Section 6 maintenance discussion, turned into a subsystem:
   of sequentially applicable insert/delete/update batches;
 * :mod:`repro.stream.live` — :class:`LiveWorkspace`, one tenant's
   element store as per-tag sorted arrays, with fingerprint
-  bump-on-write cache invalidation and all-or-nothing batches; a tag's
-  synopses (incremental PL and PH summaries, a dynamic T-tree, a
-  reservoir sample) are built on first read and then maintained
-  incrementally instead of rebuilt;
+  bump-on-write cache invalidation and all-or-nothing batches;
 * :mod:`repro.stream.store` — :class:`CatalogStore`, a multi-tenant
   registry with pager-backed disk residency and LRU admission.
 
@@ -17,10 +14,11 @@ The paper's Section 6 maintenance discussion, turned into a subsystem:
 two-tenant store.
 
 ``EstimationService(live=...)`` serves estimates straight off a live
-workspace or store under a per-request ``max_staleness_s`` bound; the
-qa ``incremental-vs-rebuild`` oracle reads every synopsis before the
-first batch and proves them equal to from-scratch rebuilds after every
-batch.
+workspace or store under a per-request ``max_staleness_s`` bound.  The
+qa ``incremental-vs-rebuild`` oracle replays a feed into a live
+workspace and, beside it, into the paper's maintained synopses
+(:mod:`repro.maintenance`), and proves both equal to from-scratch
+rebuilds after every batch.
 """
 
 from repro.stream.feed import Mutation, MutationBatch, MutationFeed

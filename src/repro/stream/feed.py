@@ -10,9 +10,9 @@ and an update pairs one of each.
 
 The feed is a pure generator — it never touches the workspace itself.
 :class:`repro.stream.LiveWorkspace` ingests the batches and applies
-them through the incremental maintenance layer; the qa
-``incremental-vs-rebuild`` oracle replays the same seed to cross-check
-every applied batch against a from-scratch rebuild.
+them to its sorted arrays; the qa ``incremental-vs-rebuild`` oracle
+applies the same batches to the paper's maintained synopses too, and
+cross-checks both against a from-scratch rebuild after every batch.
 """
 
 from __future__ import annotations
@@ -26,6 +26,23 @@ from repro.core.rng import SeedLike, make_rng
 
 #: Mutation kinds a feed can emit, in weight order.
 OPS = ("insert", "delete", "update")
+
+
+def require_elements(what: str, items: Iterable[Element]) -> list[Element]:
+    """``items`` as a list; :class:`StreamError` unless all are Elements."""
+    try:
+        items = list(items)
+    except TypeError as error:
+        raise StreamError(
+            f"{what} must be an iterable of Elements, "
+            f"got {type(items).__name__}"
+        ) from error
+    for item in items:
+        if not isinstance(item, Element):
+            raise StreamError(
+                f"{what} holds a {type(item).__name__}, not an Element"
+            )
+    return items
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,10 +61,22 @@ class Mutation:
     def __post_init__(self) -> None:
         if self.op not in OPS:
             raise StreamError(f"unknown mutation op {self.op!r}")
+        if not isinstance(self.element, Element):
+            raise StreamError(
+                f"mutation element must be an Element, "
+                f"got {type(self.element).__name__}"
+            )
         if (self.replacement is not None) != (self.op == "update"):
             raise StreamError(
                 f"op {self.op!r} takes "
                 f"{'a' if self.op == 'update' else 'no'} replacement"
+            )
+        if self.replacement is not None and not isinstance(
+            self.replacement, Element
+        ):
+            raise StreamError(
+                f"mutation replacement must be an Element, "
+                f"got {type(self.replacement).__name__}"
             )
 
 
@@ -84,7 +113,7 @@ class MutationFeed:
         initial_fraction: float = 0.5,
         weights: Sequence[float] = (2.0, 1.0, 1.0),
     ) -> None:
-        pool = list(pool)
+        pool = require_elements("pool", pool)
         if not pool:
             raise StreamError("mutation feed needs a non-empty pool")
         if len({(e.start, e.end) for e in pool}) != len(pool):

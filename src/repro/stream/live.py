@@ -9,24 +9,10 @@ each buffer into a numpy array, one memcpy apiece, so the node set owns
 its arrays; a code a buffer cannot hold (a float, an int at or past
 2**63) fails its batch or bootstrap with a ``StreamError``.
 
-The paper's synopses are kept per tag on demand: the first call to
-:meth:`pl_histogram`, :meth:`cell_histogram`, :meth:`ttree` or
-:meth:`reservoir` builds all four from the tag's current elements, and
-from then on every write to that tag updates them incrementally — no
-rebuilds:
-
-* :class:`~repro.maintenance.incremental.IncrementalPLHistogram` — the
-  Table 1 PL statistics, O(buckets crossed) per mutation;
-* :class:`~repro.maintenance.cells.IncrementalCellHistogram` — the PH
-  grid, O(1) per mutation;
-* :class:`~repro.maintenance.dynamic_ttree.DynamicTTree` — stabbing
-  counts as O(1) delta updates with lazy recompile;
-* :class:`~repro.maintenance.reservoir.ReservoirSample` — a standing
-  uniform sample under inserts *and* deletes (random pairing).
-
-A tag whose synopses nothing reads pays only for its sorted arrays:
-the service answers live reads from the snapshot's node sets, so
-serving never builds them.
+The paper's maintained synopses (:mod:`repro.maintenance`) are not kept
+here: serving reads only the node sets.  The qa
+``incremental-vs-rebuild`` oracle drives them with the same mutation
+stream beside a live workspace.
 
 Batches apply whole or not at all.  ``ingest`` rejects a mutation whose
 element or replacement has a code that is not a number, or lies outside
@@ -61,7 +47,6 @@ from __future__ import annotations
 import numbers
 import threading
 import time
-import zlib
 from array import array
 from bisect import bisect_left
 from collections import OrderedDict, deque
@@ -73,15 +58,8 @@ from repro.core.element import Element
 from repro.core.errors import StreamError
 from repro.core.nodeset import NodeSet
 from repro.core.workspace import Workspace
-from repro.estimators.coverage_histogram import merged_interval_bounds
-from repro.maintenance import (
-    DynamicTTree,
-    IncrementalCellHistogram,
-    IncrementalPLHistogram,
-    ReservoirSample,
-)
 from repro.perf.cache import SummaryCache
-from repro.stream.feed import Mutation, MutationBatch
+from repro.stream.feed import Mutation, MutationBatch, require_elements
 
 #: How many ingest timestamps are retained for staleness accounting;
 #: snapshots older than this many batches report the oldest retained age.
@@ -140,46 +118,14 @@ def _without_caches(
     )
 
 
-class _Synopses:
-    """The four maintained synopses of one live tag."""
-
-    __slots__ = ("pl", "cells", "ttree", "reservoir")
-
-    def __init__(
-        self, live: "LiveWorkspace", tag: str, elements: Iterable[Element]
-    ) -> None:
-        self.pl = IncrementalPLHistogram(live.workspace, live.num_buckets)
-        self.cells = IncrementalCellHistogram(live.workspace, live.num_cells)
-        self.ttree = DynamicTTree()
-        self.reservoir = ReservoirSample(
-            live.reservoir_capacity,
-            seed=(live.seed * 1_000_003) ^ zlib.crc32(tag.encode()),
-        )
-        for element in elements:
-            self.insert(element)
-
-    def insert(self, element: Element) -> None:
-        self.pl.insert(element)
-        self.cells.insert(element)
-        self.ttree.insert(element)
-        self.reservoir.add(element)
-
-    def remove(self, element: Element) -> None:
-        self.pl.remove(element)
-        self.cells.remove(element)
-        self.ttree.delete(element)
-        self.reservoir.remove(element)
-
-
 class _TagState:
-    """One live tag: its sorted arrays, and its synopses once read."""
+    """One live tag: its sorted arrays and its materialized node set."""
 
     __slots__ = (
         "tag",
         "starts",
         "ends",
         "elements",
-        "synopses",
         "node_set",
         "inserts",
         "deletes",
@@ -190,7 +136,6 @@ class _TagState:
         self.starts = array("q")  # int64 buffers, start-sorted
         self.ends = array("q")
         self.elements: list[Element] = []  # aligned with starts/ends
-        self.synopses: _Synopses | None = None
         self.node_set: NodeSet | None = None
         self.inserts = 0
         self.deletes = 0
@@ -264,10 +209,10 @@ class LiveWorkspace:
     Args:
         workspace: fixed position domain every element must fall in.
         elements: initial live population (e.g. ``feed.bootstrap()``).
-        num_buckets / num_cells: synopsis resolutions, as in the
-            estimators.
-        reservoir_capacity: standing sample size per tag.
-        seed: derives each tag's reservoir stream.
+        num_buckets / seed: accepted and ignored.  They sized and seeded
+            the per-tag synopses this class kept before 5.0.0; the
+            ``churn`` benchmark still passes them, and a change to the
+            benchmark drops them.
         tenant: name used in stats and store registries.
         clock: monotonic time source (injectable for tests).
     """
@@ -277,24 +222,17 @@ class LiveWorkspace:
         workspace: Workspace,
         *,
         elements: Iterable[Element] = (),
-        num_buckets: int = 16,
-        num_cells: int = 25,
-        reservoir_capacity: int = 64,
-        seed: int = 0,
+        num_buckets: object = None,
+        seed: object = None,
         tenant: str = "default",
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        self.workspace = workspace.validate()
-        if min(num_buckets, num_cells, reservoir_capacity) < 1:
+        if not isinstance(workspace, Workspace):
             raise StreamError(
-                f"num_buckets, num_cells and reservoir_capacity must be "
-                f">= 1, got {num_buckets}, {num_cells} and "
-                f"{reservoir_capacity}"
+                f"workspace must be a Workspace, "
+                f"got {type(workspace).__name__}"
             )
-        self.num_buckets = num_buckets
-        self.num_cells = num_cells
-        self.reservoir_capacity = reservoir_capacity
-        self.seed = seed
+        self.workspace = workspace.validate()
         self.tenant = tenant
         self._clock = clock
         self._lock = threading.RLock()
@@ -312,7 +250,7 @@ class LiveWorkspace:
         self.invalidated_entries = 0
         self.estimates_served = 0
         lo, hi = self.workspace
-        for element in elements:
+        for element in require_elements("elements", elements):
             if type(element.start) is not int or type(element.end) is not int:
                 _check_codes("bootstrap", element)
             if not (lo <= element.start and element.end <= hi):
@@ -352,6 +290,10 @@ class LiveWorkspace:
         return state
 
     def _live_state(self, tag: str) -> _TagState:
+        if not isinstance(tag, str):
+            raise StreamError(
+                f"tag must be a string, got {type(tag).__name__}"
+            )
         state = self._tags.get(tag)
         if state is None:
             raise StreamError(
@@ -428,8 +370,8 @@ class LiveWorkspace:
     def _apply_batch(self, mutations: tuple[Mutation, ...]) -> None:
         """Apply one batch whole, or undo it and re-raise.
 
-        The sorted arrays change first; the synopses, counters, caches
-        and node sets only once every mutation of the batch succeeded.
+        The sorted arrays change first; the counters, caches and node
+        sets only once every mutation of the batch succeeded.
         """
         known = len(self._tags)
         done: list[tuple[_TagState, Element, bool]] = []  # inserted?
@@ -459,17 +401,12 @@ class LiveWorkspace:
                 del self._tags[tag]
             raise
         touched: dict[str, _TagState] = {}
-        for state, element, inserted in done:
+        for state, _, inserted in done:
             touched[state.tag] = state
-            synopses = state.synopses
             if inserted:
                 state.inserts += 1
-                if synopses is not None:
-                    synopses.insert(element)
             else:
                 state.deletes += 1
-                if synopses is not None:
-                    synopses.remove(element)
         for state in touched.values():
             self._invalidate(state)
             state.node_set = None
@@ -613,40 +550,8 @@ class LiveWorkspace:
             elements = tuple(self._live_state(tag).elements)
         return NodeSet(elements, name=tag)
 
-    def _synopses(self, tag: str) -> _Synopses:
-        """The tag's synopses, built from its current elements if unread."""
-        with self._lock:
-            state = self._live_state(tag)
-            if state.synopses is None:
-                state.synopses = _Synopses(self, tag, state.elements)
-            return state.synopses
-
-    def pl_histogram(self, tag: str) -> IncrementalPLHistogram:
-        return self._synopses(tag).pl
-
-    def cell_histogram(self, tag: str) -> IncrementalCellHistogram:
-        return self._synopses(tag).cells
-
-    def ttree(self, tag: str) -> DynamicTTree:
-        return self._synopses(tag).ttree
-
-    def reservoir(self, tag: str) -> ReservoirSample:
-        return self._synopses(tag).reservoir
-
-    def coverage_bounds(self, tag: str) -> np.ndarray:
-        """Merged coverage intervals of the tag's current population.
-
-        Derived from the maintained sorted arrays (no re-sort) by the
-        same array kernel the coverage estimator uses on a fresh build.
-        """
-        return merged_interval_bounds(self.node_set(tag))
-
     def stats(self) -> dict:
-        """Counters per tag and tenant.
-
-        A tag's ``reservoir`` is its sample size, or ``None`` while
-        nothing has read its synopses (stats never builds them).
-        """
+        """Counters per tag and tenant."""
         with self._lock:
             return {
                 "tenant": self.tenant,
@@ -655,11 +560,6 @@ class LiveWorkspace:
                         "live": len(state.starts),
                         "inserts": state.inserts,
                         "deletes": state.deletes,
-                        "reservoir": (
-                            len(state.synopses.reservoir)
-                            if state.synopses is not None
-                            else None
-                        ),
                     }
                     for tag, state in sorted(self._tags.items())
                 },

@@ -7,10 +7,8 @@ The rest live on disk as pager-backed element files
 writes its whole element population (tags and levels included) through
 the page format, and frees the in-memory structures; the next access
 pages the file back in and rebuilds the per-tag sorted arrays from the
-stored elements.  Neither a spill nor a load builds a tag's synopses:
-as in any :class:`LiveWorkspace`, they are built from the current
-elements when something first reads them.  Admission is LRU — touching
-a tenant via :meth:`get` or :meth:`create` makes it most-recently-used.
+stored elements.  Admission is LRU — touching a tenant via :meth:`get`
+or :meth:`create` makes it most-recently-used.
 
 Isolation: every workspace invalidates caches only under its *own*
 content fingerprints (see :meth:`LiveWorkspace.attach_caches`), so
@@ -18,15 +16,15 @@ churn in one tenant never evicts, invalidates, or even bumps the hit
 counters of another tenant's entries — a property the cache-level
 and service-level isolation tests in ``tests/test_stream.py`` assert.
 
-Sequence numbers and applied counters survive the spill/load cycle via
-a JSON sidecar; synopses do not, so a reloaded tenant's reservoir
-samples are redrawn on their next read (a fresh sample stream —
-uniformity, not replay, is the reservoir's contract).
+Sequence numbers and applied counters survive the spill/load cycle: a
+load restores them from the store's in-memory copy of the metadata,
+which a spill also writes beside the pages as a JSON sidecar.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 import re
 import threading
 import time
@@ -57,6 +55,9 @@ class CatalogStore:
         capacity: max resident tenants before LRU spill kicks in.
         buffer_capacity: pages cached per tenant while loading.
         clock: monotonic time source forwarded to new workspaces.
+
+    Both sizes must be ints >= 1: a spilled tenant can only be paged
+    back in through a buffer of at least one page.
     """
 
     def __init__(
@@ -67,8 +68,12 @@ class CatalogStore:
         buffer_capacity: int = 64,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if capacity < 1:
-            raise StreamError(f"capacity must be >= 1, got {capacity}")
+        for name, value in (
+            ("capacity", capacity),
+            ("buffer_capacity", buffer_capacity),
+        ):
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise StreamError(f"{name} must be an int >= 1: {value!r}")
         self.root = Path(root) if root is not None else None
         if self.root is not None:
             self.root.mkdir(parents=True, exist_ok=True)
@@ -214,10 +219,6 @@ class CatalogStore:
             meta = {
                 "tenant": tenant,
                 "workspace": [live.workspace.lo, live.workspace.hi],
-                "num_buckets": live.num_buckets,
-                "num_cells": live.num_cells,
-                "reservoir_capacity": live.reservoir_capacity,
-                "seed": live.seed,
                 "ingest_seq": live.ingest_seq,
                 "applied_seq": live.applied_seq,
                 "applied_batches": stats["applied_batches"],
@@ -245,10 +246,6 @@ class CatalogStore:
         live = LiveWorkspace(
             Workspace(lo, hi),
             elements=elements,
-            num_buckets=meta["num_buckets"],
-            num_cells=meta["num_cells"],
-            reservoir_capacity=meta["reservoir_capacity"],
-            seed=meta["seed"],
             tenant=tenant,
             clock=self._clock,
         )

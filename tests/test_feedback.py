@@ -1,10 +1,11 @@
 """Tests for the feedback subsystem (:mod:`repro.feedback`).
 
-Covers the record/store layer (wire round-trips, truth back-fill
-order-independence, the snapshot/merge protocol's commutativity), the
-correction model (fit on synthetic bias reduces MRE, never worsens a
-held-out cell, unfitted cells are *exactly* identity), the ambient
-runtime, and the service/optimizer integration points.
+Covers the record/store layer (truth back-fill order-independence, the
+class → method aggregates against a flat reference), the correction
+model (fit on synthetic bias reduces MRE, never worsens a held-out
+cell, unfitted cells are *exactly* identity), ``record_feedback``, the
+typed errors at the closed loop's front doors, and the service
+integration points.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import pytest
 
 import repro
 from repro import api
-from repro.core.errors import FeedbackError, ReproError
+from repro.core.errors import FeedbackError, InvalidNodeSetError, ReproError
 from repro.core.nodeset import NodeSet
 from repro.feedback import (
     CorrectionModel,
@@ -29,9 +30,7 @@ from repro.feedback import (
     pair_key,
     query_class,
     record_feedback,
-    use_feedback,
 )
-from repro.feedback import runtime as feedback_runtime
 from repro.join.size import containment_join_size
 
 
@@ -101,32 +100,6 @@ class TestFeedbackRecord:
             math.inf
         )
 
-    def test_wire_roundtrip_identical(self):
-        record = _record(
-            estimate=42.5,
-            exact=40.0,
-            latency_s=0.25,
-            status="degraded",
-            degraded_reason="deadline",
-            pair_key="x//y",
-            request_id="r-1",
-        )
-        rebuilt = FeedbackRecord.from_dict(record.to_dict())
-        assert rebuilt == record
-
-    def test_wire_roundtrip_non_finite(self):
-        record = _record(estimate=math.inf, exact=None)
-        rebuilt = FeedbackRecord.from_dict(record.to_dict())
-        assert rebuilt.estimate == math.inf
-
-    def test_bad_schema_version_rejected(self):
-        payload = _record().to_dict()
-        payload["schema_version"] = 999
-        with pytest.raises(FeedbackError):
-            FeedbackRecord.from_dict(payload)
-        with pytest.raises(FeedbackError):
-            FeedbackRecord.from_dict("not a mapping")
-
     def test_feedback_error_is_typed(self):
         assert issubclass(FeedbackError, ReproError)
 
@@ -191,43 +164,13 @@ class TestFeedbackStore:
         with pytest.raises(FeedbackError):
             store.add("not a record")
 
-    def test_snapshot_merge_commutes(self):
-        """Folding per-worker stores in any order gives equal aggregates."""
-        left = FeedbackStore()
-        right = FeedbackStore()
-        for i in range(4):
-            left.add(_record(method="PL", estimate=10.0 + i, exact=10.0))
-            right.add(_record(method="PL", estimate=20.0 - i, exact=10.0))
-            right.add(_record(method="IM", estimate=5.0 + i, exact=10.0))
-
-        ab = FeedbackStore.from_snapshot(left.snapshot())
-        ab.merge(right.snapshot())
-        ba = FeedbackStore.from_snapshot(right.snapshot())
-        ba.merge(left.snapshot())
-
-        for method in ("PL", "IM"):
-            mine = ab.method_stats("a[3]//d[4]").get(method)
-            theirs = ba.method_stats("a[3]//d[4]").get(method)
-            assert mine.count == theirs.count
-            assert mine.truth_count == theirs.truth_count
-            assert mine.abs_error_sum == theirs.abs_error_sum
-            assert mine.error_sum == theirs.error_sum
-            assert mine.latency_sum == theirs.latency_sum
-            assert mine.ewma_latency_s == theirs.ewma_latency_s
-
-    def test_snapshot_version_enforced(self):
-        snapshot = FeedbackStore().snapshot()
-        snapshot["schema_version"] = 0
-        with pytest.raises(FeedbackError):
-            FeedbackStore.from_snapshot(snapshot)
-
 
 class FlatStore(FeedbackStore):
     """The reference layout: one dict keyed by ``(class, method)``,
     read by sorting every cell and ``replace``-copying the matches.
 
-    Every aggregate update (``add``, truth back-fill, ``merge``) goes
-    through ``_cell``, so overriding it routes them all here.
+    Every aggregate update (``add`` and truth back-fill) goes through
+    ``_cell``, so overriding it routes them all here.
     """
 
     def __init__(self, **kwargs):
@@ -248,16 +191,8 @@ class FlatStore(FeedbackStore):
                 if qc == query_class
             }
 
-    def snapshot(self):
-        snapshot = super().snapshot()
-        snapshot["stats"] = {
-            f"{qc}␟{method}": cell.to_dict()
-            for (qc, method), cell in sorted(self.flat.items())
-        }
-        return snapshot
 
-
-#: Classes sharing prefixes: sorting the joined "class␟method" strings
+#: Classes sharing prefixes: sorting joined "class␟method" strings
 #: would order these differently from sorting (class, method) pairs.
 _PREFIX_CLASSES = ("a[3]//d[4]", "a[3]//d[40]", "a[3]//d[4]x", "a[30]//d[4]")
 _METHODS = ("PM", "IM", "PL", "CROSS", "BOUND", "P")
@@ -304,9 +239,7 @@ class TestFeedbackStoreDifferential:
             got = list(store.method_stats(qc).items())
             want = list(reference.method_stats(qc).items())
             assert got == want, qc
-        mine, theirs = store.snapshot(), reference.snapshot()
-        assert list(mine["stats"].items()) == list(theirs["stats"].items())
-        assert mine == theirs
+        assert store.records() == reference.records()
         assert store.stats() == {
             **reference.stats(),
             "classes": len({qc for qc, __ in reference.flat}),
@@ -319,9 +252,7 @@ class TestFeedbackStoreDifferential:
         store = FeedbackStore(max_records=12)
         reference = FlatStore(max_records=12)
         for step in range(150):
-            op = rng.choice(
-                ["add", "add", "add", "truth", "truth_key", "merge", "reload"]
-            )
+            op = rng.choice(["add", "add", "add", "truth", "truth_key"])
             if op == "add":
                 record = self._random_record(rng, pairs)
                 store.add(record)
@@ -338,20 +269,6 @@ class TestFeedbackStoreDifferential:
                 assert store.observe_truth_key(key, exact) == (
                     reference.observe_truth_key(key, exact)
                 )
-            elif op == "merge":
-                other = FeedbackStore(max_records=4)
-                for __ in range(int(rng.integers(1, 6))):
-                    other.add(self._random_record(rng, pairs))
-                snapshot = other.snapshot()
-                store.merge(snapshot)
-                reference.merge(snapshot)
-            else:
-                store = FeedbackStore.from_snapshot(
-                    store.snapshot(), max_records=12
-                )
-                reference = FlatStore.from_snapshot(
-                    reference.snapshot(), max_records=12
-                )
             self._assert_same(store, reference)
         assert store.classes(), "the sequence recorded nothing"
 
@@ -360,20 +277,15 @@ class TestFeedbackStoreDifferential:
         for method in _METHODS:
             store.add(_record(method=method, estimate=3.0, exact=2.0))
 
-        def cells():
-            return {
-                method: cell.to_dict()
-                for method, cell in store.method_stats("a[3]//d[4]").items()
-            }
-
-        before, snapshot = cells(), store.snapshot()
+        before = store.method_stats("a[3]//d[4]")
+        records, stats = store.records(), store.stats()
         for cell in store.method_stats("a[3]//d[4]").values():
             cell.count += 100
             cell.truth_count += 7
             cell.abs_error_sum = -1.0
             cell.ewma_latency_s = 99.0
-        assert cells() == before
-        assert store.snapshot() == snapshot
+        assert store.method_stats("a[3]//d[4]") == before
+        assert (store.records(), store.stats()) == (records, stats)
         assert list(before) == sorted(_METHODS)
 
 
@@ -469,17 +381,6 @@ class TestCorrectionModel:
         after = mean_relative_error(_biased_records("q", bias=0.5), model)
         assert after == pytest.approx(0.0, abs=1e-6)
 
-    def test_wire_roundtrip_preserves_predictions(self):
-        model = CorrectionModel(mode="linear", max_multiplier=1e3)
-        model.fit(_biased_records("q", bias=0.25))
-        rebuilt = CorrectionModel.from_dict(model.to_dict())
-        features = (1.0, math.log1p(100.0))
-        assert rebuilt.predict_multiplier(
-            "q", features, method="PL"
-        ) == model.predict_multiplier("q", features, method="PL")
-        assert rebuilt.fitted_classes == model.fitted_classes
-        assert rebuilt.per_method == model.per_method
-
     def test_invalid_configuration_rejected(self):
         with pytest.raises(FeedbackError):
             CorrectionModel(mode="cubist")
@@ -489,10 +390,6 @@ class TestCorrectionModel:
             CorrectionModel(max_multiplier=0.5)
         with pytest.raises(FeedbackError):
             CorrectionModel().fit([], holdout=1.0)
-        payload = CorrectionModel().to_dict()
-        payload["schema_version"] = 99
-        with pytest.raises(FeedbackError):
-            CorrectionModel.from_dict(payload)
 
     def test_multiplier_clamped(self):
         model = CorrectionModel(max_multiplier=2.0)
@@ -506,25 +403,11 @@ class TestCorrectionModel:
 
 
 # ----------------------------------------------------------------------
-# Ambient runtime
+# record_feedback and the typed front doors
 # ----------------------------------------------------------------------
 
 
 class TestRuntime:
-    def test_use_feedback_scopes_the_store(self, xmark_small):
-        a, d = _operands(xmark_small)
-        assert not feedback_runtime.enabled()
-        with use_feedback() as store:
-            assert feedback_runtime.enabled()
-            assert feedback_runtime.get_store() is store
-            record_feedback(a, d, "PL", 42.0)
-            feedback_runtime.observe_truth(a, d, 40.0)
-        assert not feedback_runtime.enabled()
-        (record,) = store.records()
-        assert record.method == "PL"
-        assert record.exact == 40.0
-        assert record.query_class == query_class(a, d)
-
     def test_record_feedback_explicit_store(self, xmark_small):
         a, d = _operands(xmark_small)
         store = FeedbackStore()
@@ -532,19 +415,100 @@ class TestRuntime:
         assert record.pair_key == pair_key(a, d)
         assert store.records() == [record]
 
-    def test_exact_generator_records_truth(self, xmark_small):
-        """The optimizer's exact oracle feeds the ambient store."""
-        sets = [
-            xmark_small.node_set("item"),
-            xmark_small.node_set("desp"),
-            xmark_small.node_set("text"),
-        ]
-        with use_feedback() as store:
-            repro.optimize(sets, "exact")
-        assert store.stats()["truths"] > 0
-        assert store.truth_for(pair_key(sets[0], sets[1])) == float(
-            containment_join_size(sets[0], sets[1])
-        )
+
+#: Each call passes one type-confused argument to a closed-loop front
+#: door; ``a`` and ``d`` are well-formed operands.
+_CONFUSED_CALLS = [
+    pytest.param(
+        lambda a, d: record_feedback(
+            "a", "d", "PL", 1.0, store=FeedbackStore()
+        ),
+        InvalidNodeSetError,
+        id="record-operands-str",
+    ),
+    pytest.param(
+        lambda a, d: record_feedback(a, None, "PL", 1.0, store=FeedbackStore()),
+        InvalidNodeSetError,
+        id="record-descendants-none",
+    ),
+    pytest.param(
+        lambda a, d: record_feedback(a, d, "PL", 1.0, store=[]),
+        FeedbackError,
+        id="record-store-list",
+    ),
+    pytest.param(
+        lambda a, d: record_feedback(a, d, "PL", 1.0, store=None),
+        FeedbackError,
+        id="record-store-none",
+    ),
+    pytest.param(
+        lambda a, d: record_feedback(a, d, 5, 1.0, store=FeedbackStore()),
+        FeedbackError,
+        id="record-method-int",
+    ),
+    pytest.param(
+        lambda a, d: record_feedback(a, d, "PL", "x", store=FeedbackStore()),
+        FeedbackError,
+        id="record-estimate-str",
+    ),
+    pytest.param(
+        lambda a, d: record_feedback(
+            a, d, "PL", 1.0, exact="x", store=FeedbackStore()
+        ),
+        FeedbackError,
+        id="record-exact-str",
+    ),
+    pytest.param(
+        lambda a, d: FeedbackStore().observe_truth("a", "d", 1.0),
+        InvalidNodeSetError,
+        id="truth-operands-str",
+    ),
+    pytest.param(
+        lambda a, d: FeedbackStore().observe_truth(a, d, "x"),
+        FeedbackError,
+        id="truth-exact-str",
+    ),
+    pytest.param(
+        lambda a, d: FeedbackStore().observe_truth_key("k", None),
+        FeedbackError,
+        id="truth-key-exact-none",
+    ),
+    pytest.param(
+        lambda a, d: FeedbackStore(max_records="5"),
+        FeedbackError,
+        id="max-records-str",
+    ),
+    pytest.param(
+        lambda a, d: FeedbackStore(max_records=2.5),
+        FeedbackError,
+        id="max-records-float",
+    ),
+    pytest.param(
+        lambda a, d: CorrectionModel().fit("x"),
+        FeedbackError,
+        id="fit-str",
+    ),
+    pytest.param(
+        lambda a, d: CorrectionModel().fit(5),
+        FeedbackError,
+        id="fit-int",
+    ),
+    pytest.param(
+        lambda a, d: CorrectionModel().fit([1.0]),
+        FeedbackError,
+        id="fit-floats",
+    ),
+]
+
+
+class TestFrontDoorErrors:
+    @pytest.mark.parametrize(("call", "error"), _CONFUSED_CALLS)
+    def test_type_confused_arguments_raise_typed_errors(
+        self, xmark_small, call, error
+    ):
+        a, d = _operands(xmark_small)
+        with pytest.raises(error):
+            call(a, d)
 
 
 # ----------------------------------------------------------------------
@@ -622,7 +586,7 @@ class TestServiceIntegration:
             "FeedbackRecord",
             "FeedbackStore",
             "record_feedback",
-            "use_feedback",
         ):
             assert hasattr(repro, name)
             assert hasattr(api, name) or callable(getattr(repro, name))
+        assert not hasattr(repro, "use_feedback")

@@ -15,6 +15,7 @@ from repro.estimators.pl_histogram import PLHistogram, PLHistogramEstimator
 from repro.join import containment_join_size
 from repro.maintenance import (
     DynamicTTree,
+    IncrementalCellHistogram,
     IncrementalPLHistogram,
     ReservoirSample,
 )
@@ -367,15 +368,14 @@ class TestReservoirUnderDeletes:
 
 
 class TestLiveWorkspaceDeltaEdgeCases:
-    """Incremental-delta edge cases through the stream layer."""
+    """Incremental-delta edge cases: the stream layer and the four
+    maintained synopses, fed the same mutations."""
 
     def _workspace(self):
         from repro.stream import LiveWorkspace
 
         elements = [Element("a", 4 * i + 1, 4 * i + 3) for i in range(6)]
-        live = LiveWorkspace(
-            Workspace(0, 40), elements=elements, num_buckets=4, seed=1
-        )
+        live = LiveWorkspace(Workspace(0, 40), elements=elements)
         return live, elements
 
     def test_empty_batch_is_a_noop_but_advances_seq(self):
@@ -395,30 +395,44 @@ class TestLiveWorkspaceDeltaEdgeCases:
         from repro.stream import Mutation
 
         live, elements = self._workspace()
-        # Read every synopsis first, so the batches below update them
-        # incrementally instead of building them on the next read.
-        live.pl_histogram("a")
-        live.cell_histogram("a")
-        live.ttree("a")
-        assert len(live.reservoir("a")) == len(elements)
+        pl = IncrementalPLHistogram(live.workspace, 4)
+        cells = IncrementalCellHistogram(live.workspace)
+        ttree = DynamicTTree()
+        reservoir = ReservoirSample(64, seed=1)
+        synopses = (pl, cells, ttree, reservoir)
+        for element in elements:
+            pl.insert(element)
+            cells.insert(element)
+            ttree.insert(element)
+            reservoir.add(element)
+        assert len(reservoir) == len(elements)
         live.apply([Mutation("delete", e) for e in elements])
+        for element in elements:
+            pl.remove(element)
+            cells.remove(element)
+            ttree.delete(element)
+            reservoir.remove(element)
         assert live.size("a") == 0
-        assert live.reservoir("a").live == len(live.reservoir("a")) == 0
+        assert all(len(synopsis) == 0 for synopsis in synopses)
+        assert reservoir.live == 0
         assert len(live.node_set("a")) == 0
-        assert live.ttree("a").turning_points() == []
+        assert ttree.turning_points() == []
         assert all(
-            bucket.n == 0
-            for bucket in live.pl_histogram("a").ancestor_histogram().buckets
+            bucket.n == 0 for bucket in pl.ancestor_histogram().buckets
         )
-        assert dict(live.cell_histogram("a").cell_histogram()) == {}
+        assert dict(cells.cell_histogram()) == {}
         live.apply([Mutation("insert", elements[2])])
+        pl.insert(elements[2])
+        cells.insert(elements[2])
+        ttree.insert(elements[2])
+        reservoir.add(elements[2])
         assert live.size("a") == 1
         assert live.rebuild_node_set("a").elements == (elements[2],)
-        assert live.ttree("a").turning_points() == [
+        assert ttree.turning_points() == [
             (elements[2].start, 1),
             (elements[2].end + 1, 0),
         ]
-        assert live.reservoir("a").sample == [elements[2]]
+        assert reservoir.sample == [elements[2]]
 
     def test_duplicate_insert_rejected(self):
         from repro.core.errors import StreamError

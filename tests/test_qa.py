@@ -7,10 +7,19 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.errors import InvalidRegionCodeError, ParseError
+from repro.core.errors import (
+    EstimationError,
+    InvalidRegionCodeError,
+    ParseError,
+)
 from repro.core.nodeset import NodeSet
 from repro.core.rng import make_rng
 from repro.join import containment_join_size
+from repro.maintenance import (
+    DynamicTTree,
+    IncrementalCellHistogram,
+    ReservoirSample,
+)
 from repro.qa import ORACLES, Case, replay, run_qa, shrink_case
 from repro.qa.generators import (
     disjoint_operands,
@@ -23,6 +32,7 @@ from repro.qa.generators import (
 from repro.qa.oracles import (
     OracleFailure,
     check_cached_vs_uncached,
+    check_incremental_vs_rebuild,
     check_summary_geometry,
     check_wire_fuzz,
 )
@@ -233,6 +243,53 @@ class TestStatisticalGates:
         assert one == two
 
 
+def _cell_remove_keeps_count(self, element):
+    """A PH cell ``remove`` that never decrements the element's cell."""
+    if self._cells.get(self._cell_of(element), 0) <= 0:
+        raise EstimationError("removal of an element that was never inserted")
+    self._size -= 1
+
+
+def _ttree_delete_shifts_end(self, element):
+    """A T-tree ``delete`` that shifts ``end`` instead of ``end + 1``."""
+    self._shift(element.start, -1)
+    self._shift(element.end, +1)
+    self._size -= 1
+
+
+_REAL_RESERVOIR_REMOVE = ReservoirSample.remove
+
+
+def _reservoir_remove_keeps_live(self, element):
+    """A reservoir ``remove`` that leaves the live count as it was."""
+    _REAL_RESERVOIR_REMOVE(self, element)
+    self._live += 1
+
+
+#: ``repro.maintenance`` mutants the ``incremental-vs-rebuild`` oracle
+#: must catch: (class, method, replacement).
+_MAINTENANCE_MUTANTS = [
+    pytest.param(
+        IncrementalCellHistogram,
+        "remove",
+        _cell_remove_keeps_count,
+        id="cell-remove-keeps-count",
+    ),
+    pytest.param(
+        DynamicTTree,
+        "delete",
+        _ttree_delete_shifts_end,
+        id="ttree-delete-shifts-end",
+    ),
+    pytest.param(
+        ReservoirSample,
+        "remove",
+        _reservoir_remove_keeps_live,
+        id="reservoir-remove-keeps-live",
+    ),
+]
+
+
 class TestOracleSubset:
     def test_every_oracle_clean_on_fixed_seeds(self):
         for seed in (20030609, 42, 7):
@@ -250,6 +307,16 @@ class TestOracleSubset:
         monkeypatch.setattr(SummaryCache, "_admit", lambda *args: None)
         with pytest.raises(OracleFailure, match="third call hit nothing"):
             check_cached_vs_uncached(random_case(42))
+
+    @pytest.mark.parametrize(("cls", "name", "mutant"), _MAINTENANCE_MUTANTS)
+    def test_broken_maintenance_is_caught(
+        self, monkeypatch, cls, name, mutant
+    ):
+        """incremental-vs-rebuild fails on a wrong maintenance update."""
+        check_incremental_vs_rebuild(random_case(42))
+        monkeypatch.setattr(cls, name, mutant)
+        with pytest.raises(OracleFailure, match="incremental-vs-rebuild"):
+            check_incremental_vs_rebuild(random_case(42))
 
 
 class TestWireFuzz:

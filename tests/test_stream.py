@@ -136,6 +136,28 @@ class TestMutationFeed:
         with pytest.raises(StreamError, match="replacement"):
             Mutation("update", element)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda: Mutation("insert", "x"), id="insert-str"),
+            pytest.param(lambda: Mutation("delete", None), id="delete-none"),
+            pytest.param(
+                lambda: Mutation("update", Element("a", 1, 3), (5, 7)),
+                id="update-tuple-replacement",
+            ),
+        ],
+    )
+    def test_mutation_takes_elements(self, make):
+        with pytest.raises(StreamError, match="must be an Element"):
+            make()
+
+    @pytest.mark.parametrize(
+        "pool", [5, ["x"], [Element("a", 1, 3), (5, 7)]], ids=repr
+    )
+    def test_pool_must_hold_elements(self, pool):
+        with pytest.raises(StreamError, match="Element"):
+            MutationFeed(pool, seed=1)
+
     def test_batch_len_and_index(self):
         feed = MutationFeed(_pool(), seed=0)
         first = feed.next_batch(4)
@@ -227,15 +249,47 @@ class TestLiveWorkspace:
         assert live.rebuild_node_set("a").elements.count(old) == 0
         assert new in live.rebuild_node_set("d").elements
 
-    def test_coverage_bounds_match_node_set(self):
-        from repro.estimators.coverage_histogram import (
-            merged_interval_bounds,
-        )
+    @pytest.mark.parametrize(
+        ("workspace", "elements"),
+        [
+            pytest.param((0, 100), (), id="workspace-tuple"),
+            pytest.param(Workspace(0, 100), 5, id="elements-int"),
+            pytest.param(Workspace(0, 100), ["x"], id="elements-str"),
+            pytest.param(
+                Workspace(0, 100), [Element("a", 1, 9), None], id="element-none"
+            ),
+        ],
+    )
+    def test_type_confused_construction_is_typed(self, workspace, elements):
+        with pytest.raises(StreamError):
+            LiveWorkspace(workspace, elements=elements)
 
-        live = LiveWorkspace(WORKSPACE, elements=_pool(), seed=0)
-        live.apply([Mutation("delete", Element("a", 21, 29))])
-        expected = merged_interval_bounds(live.rebuild_node_set("a"))
-        assert np.array_equal(live.coverage_bounds("a"), expected)
+    @pytest.mark.parametrize(
+        "read",
+        [
+            pytest.param(lambda live: live.snapshot(["a"]), id="snapshot-list"),
+            pytest.param(lambda live: live.snapshot("a", 5), id="snapshot-int"),
+            pytest.param(lambda live: live.node_set(None), id="node-set-none"),
+            pytest.param(lambda live: live.size(["a"]), id="size-list"),
+        ],
+    )
+    def test_tag_must_be_a_string(self, read):
+        live = LiveWorkspace(WORKSPACE, elements=_pool())
+        with pytest.raises(StreamError, match="tag must be a string"):
+            read(live)
+
+    @pytest.mark.parametrize("keyword", ["num_cells", "reservoir_capacity"])
+    def test_synopsis_keywords_are_gone(self, keyword):
+        with pytest.raises(TypeError, match=keyword):
+            LiveWorkspace(WORKSPACE, **{keyword: 8})
+
+    def test_num_buckets_and_seed_are_ignored(self):
+        plain = LiveWorkspace(WORKSPACE, elements=_pool())
+        tuned = LiveWorkspace(
+            WORKSPACE, elements=_pool(), num_buckets=8, seed=3
+        )
+        assert tuned.stats() == plain.stats()
+        assert tuned.fingerprint("a") == plain.fingerprint("a")
 
     def test_stats_shape(self):
         live = LiveWorkspace(
@@ -401,13 +455,6 @@ class TestBatchAtomicity:
 
     def test_failed_batch_drops_tags_it_created(self):
         live = self._live()
-        synopses = (
-            live.pl_histogram("a"),
-            live.cell_histogram("a"),
-            live.ttree("a"),
-            live.reservoir("a"),
-        )
-        reservoir_before = live.reservoir("a").sample
         batch = [
             Mutation("update", Element("a", 1, 10), Element("b", 21, 29)),
             Mutation("insert", Element("a", 11, 19)),  # duplicate start
@@ -416,9 +463,6 @@ class TestBatchAtomicity:
             live.apply(batch)
         assert live.tags() == ["a"]
         assert _population(live) == {"a": [(1, 10), (11, 20)]}
-        pl, cells, ttree, reservoir = synopses
-        assert len(pl) == len(cells) == len(ttree) == reservoir.live == 2
-        assert reservoir.sample == reservoir_before
 
     def test_later_batches_stay_queued_after_a_rejection(self):
         live = self._live()
@@ -429,181 +473,6 @@ class TestBatchAtomicity:
         assert live.applied_seq == 1 and live.pending_batches == 1
         assert live.apply_pending() == 1
         assert _population(live) == {"a": [(11, 20)]}
-
-
-def _synopsis_rebuild_mismatches(live: LiveWorkspace, tag: str) -> list:
-    """Where the tag's maintained synopses differ from a rebuild."""
-    from repro.estimators.pl_histogram import PLHistogram
-    from repro.estimators.ph_histogram import cell_histogram
-    from repro.maintenance import DynamicTTree
-
-    rebuilt = live.rebuild_node_set(tag)
-    pl = live.pl_histogram(tag)
-    want_anc = PLHistogram.build_ancestor(
-        rebuilt, live.workspace, live.num_buckets
-    )
-    want_desc = PLHistogram.build_descendant(
-        rebuilt, live.workspace, live.num_buckets
-    )
-    wrong = []
-    for got, want in zip(pl.ancestor_histogram().buckets, want_anc.buckets):
-        if got.n != want.n or got.total_length != pytest.approx(
-            want.total_length, rel=1e-12, abs=1e-9
-        ):
-            wrong.append(("PL ancestor", want.index))
-    for got, want in zip(
-        pl.descendant_histogram().buckets, want_desc.buckets
-    ):
-        if got.n != want.n:
-            wrong.append(("PL descendant", want.index))
-    cells = live.cell_histogram(tag)
-    if dict(cells.cell_histogram()) != dict(
-        cell_histogram(rebuilt, live.workspace, cells.side)
-    ):
-        wrong.append(("PH cells", None))
-    if (
-        live.ttree(tag).turning_points()
-        != DynamicTTree(rebuilt.elements).turning_points()
-    ):
-        wrong.append(("T-tree", None))
-    reservoir = live.reservoir(tag)
-    population = set(rebuilt.elements)
-    if reservoir.live != len(population):
-        wrong.append(("reservoir live", reservoir.live))
-    if not population.issuperset(reservoir.sample) or len(
-        reservoir.sample
-    ) > min(reservoir.capacity, len(population)):
-        wrong.append(("reservoir sample", len(reservoir.sample)))
-    return wrong
-
-
-@pytest.fixture
-def synopsis_builds(monkeypatch):
-    """Counts constructions of the four synopsis classes in live."""
-    import repro.stream.live as live_module
-
-    built: dict[str, int] = {}
-    for name in (
-        "IncrementalPLHistogram",
-        "IncrementalCellHistogram",
-        "DynamicTTree",
-        "ReservoirSample",
-    ):
-        real = getattr(live_module, name)
-
-        def spy(*args, _real=real, _name=name, **kwargs):
-            built[_name] = built.get(_name, 0) + 1
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(live_module, name, spy)
-    return built
-
-
-class TestLazySynopses:
-    """Synopses are built on first read, then kept current."""
-
-    def test_churn_without_reads_builds_no_synopses(
-        self, tmp_path, synopsis_builds
-    ):
-        feed = MutationFeed(_pool(30), seed=21)
-        store = CatalogStore(tmp_path, capacity=1)
-        store.create(
-            "alpha",
-            WORKSPACE,
-            elements=feed.bootstrap(),
-            num_buckets=8,
-            seed=21,
-        )
-        service = EstimationService(live=store, workers=0)
-        try:
-            for i, batch in enumerate(feed.batches(12, 6)):
-                alpha = store.get("alpha")
-                alpha.ingest(batch)
-                if i % 3 == 2:
-                    alpha.apply_pending()
-                for method, config in (
-                    ("PL", {"num_buckets": 8}),
-                    ("IM", {"num_samples": 10, "seed": i}),
-                ):
-                    response = service.estimate(
-                        "a", "d", method, tenant="alpha", **config
-                    )
-                    assert response.status == "ok"
-                alpha.snapshot("a", "d")
-                alpha.coverage_bounds("a")
-                store.stats()
-                if i == 5:  # spill alpha, then page it back in
-                    store.create("beta", WORKSPACE, elements=_pool(5, 900))
-                    assert store.resident_tenants() == ["beta"]
-                    store.get("alpha")
-        finally:
-            service.close()
-        assert synopsis_builds == {}
-        tags = store.stats()["tenants"]["alpha"]["tags"]
-        assert {tag: row["reservoir"] for tag, row in tags.items()} == {
-            "a": None,
-            "d": None,
-        }
-        store.get("alpha").ttree("a")
-        assert synopsis_builds == {
-            "IncrementalPLHistogram": 1,
-            "IncrementalCellHistogram": 1,
-            "DynamicTTree": 1,
-            "ReservoirSample": 1,
-        }
-        assert store.stats()["tenants"]["alpha"]["tags"]["d"][
-            "reservoir"
-        ] is None
-
-    def test_first_read_mid_stream_then_kept_current(self, tmp_path):
-        feed = MutationFeed(_pool(40), seed=8)
-        store = CatalogStore(tmp_path, capacity=1)
-        options = {
-            "num_buckets": 8,
-            "num_cells": 16,
-            "reservoir_capacity": 8,
-            "seed": 8,
-        }
-        alpha = store.create(
-            "alpha", WORKSPACE, elements=feed.bootstrap(), **options
-        )
-
-        def rebuilt(live):
-            """A fresh workspace over the live population."""
-            return LiveWorkspace(
-                WORKSPACE,
-                elements=[
-                    e for tag in live.tags()
-                    for e in live.rebuild_node_set(tag).elements
-                ],
-                **options,
-            )
-
-        for batch in feed.batches(4, 8):
-            alpha.apply(batch)
-        # First read mid-stream: built from the current elements, so
-        # even the reservoir equals a fresh workspace's.
-        fresh = rebuilt(alpha)
-        for tag in alpha.tags():
-            assert alpha.reservoir(tag).sample == fresh.reservoir(tag).sample
-            assert _synopsis_rebuild_mismatches(alpha, tag) == []
-        for batch in feed.batches(6, 8):
-            alpha.apply(batch)
-            for tag in alpha.tags():
-                assert _synopsis_rebuild_mismatches(alpha, tag) == []
-        store.create("beta", WORKSPACE, elements=_pool(5, 900))
-        assert store.resident_tenants() == ["beta"]
-        reloaded = store.get("alpha")
-        fresh = rebuilt(reloaded)
-        for tag in reloaded.tags():
-            assert (
-                reloaded.reservoir(tag).sample
-                == fresh.reservoir(tag).sample
-            )
-        for batch in feed.batches(6, 8):
-            reloaded.apply(batch)
-            for tag in reloaded.tags():
-                assert _synopsis_rebuild_mismatches(reloaded, tag) == []
 
 
 class TestFingerprintInvalidation:
@@ -1019,6 +888,19 @@ class TestCatalogStore:
         with pytest.raises(StreamError, match="tenant name"):
             store.create(tenant, WORKSPACE)
         assert store.tenants() == []
+
+    @pytest.mark.parametrize(
+        ("capacity", "buffer_capacity"),
+        [(1, 0), (1, -3), (1, 2.5), (1, None), (2.5, 64), ("2", 64)],
+        ids=repr,
+    )
+    def test_sizes_must_be_ints_of_at_least_one(
+        self, tmp_path, capacity, buffer_capacity
+    ):
+        with pytest.raises(StreamError, match="must be an int >= 1"):
+            CatalogStore(
+                tmp_path, capacity=capacity, buffer_capacity=buffer_capacity
+            )
 
     def test_unknown_tenant(self):
         store = CatalogStore()
