@@ -21,6 +21,16 @@ the exact join size for an operand pair (keyed by content fingerprints),
 back-fills every retained record for that pair, and folds the signed
 relative error into the aggregates.  Record-then-truth and
 truth-then-record produce identical aggregates.
+
+The store keeps, per pair key, the positions of its retained records
+that still lack truth, and a running count of records with truth, so a
+back-fill reads only its own pair's records and
+:meth:`~FeedbackStore.stats` reads none.  Once the store holds
+``max_records`` rows, a further row still folds into the aggregates but
+is not retained (no method removes a row, so the store stays full), and
+:func:`record_feedback` skips :func:`featurize` for it: the features'
+one reader, :meth:`~repro.feedback.CorrectionModel.fit`, sees retained
+rows only.
 """
 
 from __future__ import annotations
@@ -28,7 +38,7 @@ from __future__ import annotations
 import math
 import numbers
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator
 
 from repro.core.errors import FeedbackError
@@ -80,7 +90,9 @@ def featurize(ancestors: NodeSet, descendants: NodeSet) -> tuple[float, ...]:
     Cheap, log-scale, and derived only from per-set statistics the
     summaries already expose: cardinalities and average region lengths
     (the quantities the paper's models consume).  The leading 1.0 is the
-    intercept column.
+    intercept column.  The two ``average_length`` reductions make this
+    the costliest part of recording a fresh operand pair, so
+    :func:`record_feedback` calls it only for a row the store keeps.
     """
     return (
         1.0,
@@ -100,7 +112,9 @@ class FeedbackRecord:
         method: the method that actually produced the answer (the routed
             method when a router chose; ``"BOUND"`` for the bound arm).
         estimate: the returned value.
-        features: :func:`featurize` vector of the operand pair.
+        features: :func:`featurize` vector of the operand pair; ``()``
+            on a row :func:`record_feedback` returns after the store
+            dropped it.
         exact: the true join size when known, else None.
         latency_s: service-side residency of the request.
         status: response status ("ok"/"degraded"/"shed").
@@ -207,6 +221,22 @@ def pair_key(ancestors: NodeSet, descendants: NodeSet) -> str:
     return f"{ancestors.fingerprint}//{descendants.fingerprint}"
 
 
+def _with_exact(record: FeedbackRecord, exact: float) -> FeedbackRecord:
+    """A copy of ``record`` with its truth filled in, field by field."""
+    return FeedbackRecord(
+        record.query_class,
+        record.method,
+        record.estimate,
+        record.features,
+        exact,
+        record.latency_s,
+        record.status,
+        record.degraded_reason,
+        record.pair_key,
+        record.request_id,
+    )
+
+
 class FeedbackStore:
     """Thread-safe store of served-estimate feedback.
 
@@ -225,6 +255,10 @@ class FeedbackStore:
         self._lock = threading.Lock()
         self._records: list[FeedbackRecord] = []
         self._dropped = 0
+        self._with_truth = 0
+        # pair key -> positions in _records of the retained rows still
+        # lacking truth, in arrival order: a back-fill reads only these.
+        self._pending: dict[str, list[int]] = {}
         # query class -> method -> cell: a routed request reads one
         # class's arms without touching the rest of the store.
         self._stats: dict[str, dict[str, MethodStats]] = {}
@@ -240,6 +274,7 @@ class FeedbackStore:
         When the record carries no ``exact`` but truth for its pair was
         already observed, the stored copy is completed with it, so the
         aggregates are identical whichever of record/truth arrived first.
+        The caller's object is never changed.
         """
         if not isinstance(record, FeedbackRecord):
             raise FeedbackError(
@@ -249,14 +284,45 @@ class FeedbackStore:
             if record.exact is None and record.pair_key is not None:
                 exact = self._truths.get(record.pair_key)
                 if exact is not None:
-                    record = replace(record, exact=exact)
-            cell = self._cell(record.query_class, record.method)
-            cell.observe(record)
-            if len(self._records) < self.max_records:
-                self._records.append(record)
-            else:
-                self._dropped += 1
+                    record = _with_exact(record, exact)
+            self._fold(record)
         return record
+
+    def _add_new(self, record: FeedbackRecord) -> FeedbackRecord:
+        """:meth:`add` for a row no one else holds yet.
+
+        Fills the pair's truth in place, and empties the features of a
+        row the store drops, so nothing is copied.
+        """
+        with self._lock:
+            if record.exact is None:
+                record.exact = self._truths.get(record.pair_key)
+            if self._full():
+                record.features = ()
+            self._fold(record)
+        return record
+
+    def _full(self) -> bool:
+        """Whether the store drops the next row.
+
+        No method removes a row, so once this reads True it stays True;
+        read without the lock, a False may be stale.
+        """
+        return len(self._records) >= self.max_records
+
+    def _fold(self, record: FeedbackRecord) -> None:
+        """Fold a row into its cell, then retain or drop it (locked)."""
+        self._cell(record.query_class, record.method).observe(record)
+        if self._full():
+            self._dropped += 1
+            return
+        if record.exact is not None:
+            self._with_truth += 1
+        elif record.pair_key is not None:
+            self._pending.setdefault(record.pair_key, []).append(
+                len(self._records)
+            )
+        self._records.append(record)
 
     def observe_truth(
         self,
@@ -267,9 +333,10 @@ class FeedbackStore:
         """Record the true join size for an operand pair.
 
         Back-fills every retained truth-less record of the pair (folding
-        its error into the aggregates) and remembers the truth so future
-        records complete on arrival.  Returns how many retained records
-        gained truth.
+        its error into the aggregates, in arrival order) and remembers
+        the truth so future records complete on arrival.  Returns how
+        many retained records gained truth.  Costs O(records of this
+        pair), not O(retained records).
         """
         require_node_set("ancestors", ancestors)
         require_node_set("descendants", descendants)
@@ -279,20 +346,17 @@ class FeedbackStore:
         """:meth:`observe_truth` by precomputed pair key."""
         _require_real("exact", exact)
         exact = float(exact)
-        filled = 0
         with self._lock:
             self._truths[key] = exact
-            for i, record in enumerate(self._records):
-                if record.pair_key == key and record.exact is None:
-                    updated = replace(record, exact=exact)
-                    self._records[i] = updated
-                    error = updated.signed_relative_error
-                    if error is not None:
-                        self._cell(
-                            updated.query_class, updated.method
-                        ).observe_truth(error)
-                    filled += 1
-        return filled
+            positions = self._pending.pop(key, ())
+            records = self._records
+            for i in positions:
+                updated = records[i] = _with_exact(records[i], exact)
+                self._cell(updated.query_class, updated.method).observe_truth(
+                    updated.signed_relative_error
+                )
+            self._with_truth += len(positions)
+        return len(positions)
 
     def truth_for(self, key: str) -> float | None:
         """The recorded exact size for a pair key, if any."""
@@ -356,13 +420,10 @@ class FeedbackStore:
     def stats(self) -> dict[str, Any]:
         """Summary for ``service.stats()`` / ``obs-report``."""
         with self._lock:
-            truth = sum(
-                1 for r in self._records if r.exact is not None
-            )
             return {
                 "records": len(self._records),
                 "dropped": self._dropped,
-                "with_truth": truth,
+                "with_truth": self._with_truth,
                 "classes": len(self._stats),
                 "truths": len(self._truths),
             }
@@ -390,12 +451,16 @@ def record_feedback(
 ) -> FeedbackRecord:
     """Record one served estimate into ``store``; returns the stored row.
 
-    Query class, features and pair key come from the operands.  The
-    service calls this once per response, so the argument checks are
-    ``isinstance`` tests: an operand that is not a :class:`NodeSet`
-    raises :class:`~repro.core.errors.InvalidNodeSetError`, and a
-    ``store``, method, estimate or ``exact`` of the wrong type raises
-    :class:`FeedbackError`.
+    Query class, features and pair key come from the operands.  The row
+    is built once, with the pair's truth already in it when the store
+    knows it.  Features are computed only for a row the store keeps:
+    once the store holds ``max_records`` rows, the row still folds into
+    the aggregates, but it comes back with ``features=()`` and is not
+    retained.  The service calls this once per response, so the
+    argument checks are ``isinstance`` tests: an operand that is not a
+    :class:`NodeSet` raises :class:`~repro.core.errors.InvalidNodeSetError`,
+    and a ``store``, method, estimate or ``exact`` of the wrong type
+    raises :class:`FeedbackError`.
     """
     require_node_set("ancestors", ancestors)
     require_node_set("descendants", descendants)
@@ -410,12 +475,15 @@ def record_feedback(
     _require_real("estimate", estimate)
     if exact is not None:
         _require_real("exact", exact)
-    return store.add(
+    return store._add_new(
         FeedbackRecord(
             query_class=query_class(ancestors, descendants),
             method=method,
             estimate=float(estimate),
-            features=featurize(ancestors, descendants),
+            # A full store stays full: skip features nothing would read.
+            features=(
+                () if store._full() else featurize(ancestors, descendants)
+            ),
             exact=exact,
             latency_s=latency_s,
             status=status,

@@ -33,7 +33,9 @@ The oracles cover the layers named in the ROADMAP's production story:
   bit-identically to direct ``repro.api.estimate`` with the routed
   arm's configuration — the closed loop observes and redirects, it
   never changes a value — and every recorded outcome carries the
-  pre-registered exact size.
+  pre-registered exact size; a second store bounded below the rounds
+  routes and aggregates identically, keeps features on every row it
+  retains and drops exactly the rounds past its bound.
 * ``incremental-vs-rebuild`` — churning the case's merged element pool
   through a seeded :class:`~repro.stream.MutationFeed` into a
   :class:`~repro.stream.LiveWorkspace` and, beside it, into the
@@ -64,6 +66,7 @@ The oracles cover the layers named in the ROADMAP's production story:
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from typing import Any, Callable, Sequence
@@ -510,9 +513,16 @@ def check_feedback_transparency(case: Case) -> None:
     BOUND arm is the structural upper bound) — routing redirects, it
     does not perturb.  Every outcome must land in the store carrying
     the pre-registered exact size.
+
+    The same loop against a second store, bounded below the number of
+    rounds, must route and answer the same: its aggregates equal the
+    unbounded store's, every row it keeps carries the pair's
+    :func:`~repro.feedback.featurize` vector, and it drops exactly the
+    rounds past its bound.  Both loops read a tick clock, so their
+    recorded latencies are equal too.
     """
     from repro.estimators.bounds import join_size_bounds
-    from repro.feedback.store import FeedbackStore
+    from repro.feedback.store import FeedbackStore, featurize, query_class
     from repro.router.base import BOUND_METHOD, UCB1Router
 
     a, d, w = case.ancestors, case.descendants, case.workspace
@@ -527,52 +537,93 @@ def check_feedback_transparency(case: Case) -> None:
         "PM": {"num_samples": samples, "seed": 11},
         BOUND_METHOD: {},
     }
-    exact = containment_join_size(a, d)
+    exact = float(containment_join_size(a, d))
+    rounds = 2 * len(candidates)
+
+    def serve_rounds(store: FeedbackStore) -> list[tuple[str | None, float]]:
+        store.observe_truth(a, d, exact)
+        ticks = itertools.count()
+        with EstimationService(
+            workers=0,
+            router=UCB1Router(candidates, seed=case.seed),
+            feedback=store,
+            memoize=False,
+            clock=lambda: next(ticks) * 1e-6,
+        ) as service:
+            answers = []
+            for __ in range(rounds):
+                response = service.estimate(
+                    a, d, "IM", workspace=w, num_samples=samples, seed=11
+                )
+                if response.status != "ok":
+                    _fail(
+                        "feedback-transparency",
+                        f"routed request resolved {response.status!r} "
+                        f"(reason {response.degraded_reason!r}), not ok",
+                    )
+                answers.append(
+                    (response.routed_method, response.estimate.value)
+                )
+            return answers
+
     store = FeedbackStore()
-    store.observe_truth(a, d, float(exact))
-    router = UCB1Router(candidates, seed=case.seed)
-    rounds = 2 * len(router.arms)
-    with EstimationService(
-        workers=0, router=router, feedback=store, memoize=False
-    ) as service:
-        for __ in range(rounds):
-            response = service.estimate(
-                a, d, "IM", workspace=w, num_samples=samples, seed=11
+    answers = serve_rounds(store)
+    for routed, value in answers:
+        if routed not in candidates:
+            _fail(
+                "feedback-transparency",
+                f"response routed to unknown arm {routed!r}",
             )
-            routed = response.routed_method
-            if routed not in candidates:
-                _fail(
-                    "feedback-transparency",
-                    f"response routed to unknown arm {routed!r}",
-                )
-            if response.status != "ok":
-                _fail(
-                    "feedback-transparency",
-                    f"routed request resolved {response.status!r} "
-                    f"(reason {response.degraded_reason!r}), not ok",
-                )
-            if routed == BOUND_METHOD:
-                expected = float(join_size_bounds(a, d).upper)
-            else:
-                expected = api.estimate(
-                    a, d, routed, workspace=w, **candidates[routed]
-                ).value
-            if response.estimate.value != expected:
-                _fail(
-                    "feedback-transparency",
-                    f"routed {routed} answer {response.estimate.value!r} "
-                    f"!= direct estimate {expected!r}",
-                )
+        if routed == BOUND_METHOD:
+            expected = float(join_size_bounds(a, d).upper)
+        else:
+            expected = api.estimate(
+                a, d, routed, workspace=w, **candidates[routed]
+            ).value
+        if value != expected:
+            _fail(
+                "feedback-transparency",
+                f"routed {routed} answer {value!r} "
+                f"!= direct estimate {expected!r}",
+            )
     records = list(store)
     if len(records) != rounds:
         _fail(
             "feedback-transparency",
             f"store holds {len(records)} records for {rounds} requests",
         )
-    if any(record.exact != float(exact) for record in records):
+    if any(record.exact != exact for record in records):
         _fail(
             "feedback-transparency",
             "a served record is missing the pre-registered exact size",
+        )
+
+    bound = rounds // 2
+    bounded = FeedbackStore(max_records=bound)
+    if serve_rounds(bounded) != answers:
+        _fail(
+            "feedback-transparency",
+            f"a store bounded at {bound} records changed the answers",
+        )
+    label = query_class(a, d)
+    if repr(bounded.method_stats(label)) != repr(store.method_stats(label)):
+        _fail(
+            "feedback-transparency",
+            f"a store bounded at {bound} records aggregates differently "
+            f"from an unbounded one",
+        )
+    features = featurize(a, d)
+    if any(record.features != features for record in bounded.records()):
+        _fail(
+            "feedback-transparency",
+            "a retained record lacks its operand pair's features",
+        )
+    dropped = bounded.stats()["dropped"]
+    if dropped != rounds - bound:
+        _fail(
+            "feedback-transparency",
+            f"a store bounded at {bound} records dropped {dropped} of "
+            f"{rounds}",
         )
 
 

@@ -45,6 +45,10 @@ from repro.stream.live import (
 
 _TENANT_NAME = re.compile(r"^[A-Za-z0-9_.-]+$")
 
+#: The :class:`LiveWorkspace` keywords :meth:`CatalogStore.create`
+#: forwards; the store supplies ``tenant`` and ``clock`` itself.
+_CREATE_OPTIONS = ("num_buckets", "seed")
+
 
 class CatalogStore:
     """LRU-admitted registry of live workspaces with disk residency.
@@ -106,12 +110,24 @@ class CatalogStore:
         elements: Iterable[Element] = (),
         **options,
     ) -> LiveWorkspace:
-        """Register a new tenant and return its resident workspace."""
+        """Register a new tenant and return its resident workspace.
+
+        ``options`` may hold ``num_buckets`` and ``seed``, which
+        :class:`LiveWorkspace` accepts and ignores; any other keyword
+        raises :class:`StreamError` naming it.
+        """
         if not isinstance(tenant, str) or not _TENANT_NAME.match(tenant):
             raise StreamError(
                 f"tenant name {tenant!r} must match "
                 f"{_TENANT_NAME.pattern}"
             )
+        for name in options:
+            if name not in _CREATE_OPTIONS:
+                raise StreamError(
+                    f"CatalogStore.create got an unexpected keyword "
+                    f"{name!r} (it takes elements=, num_buckets= and "
+                    f"seed=; the store sets the clock)"
+                )
         with self._lock:
             if tenant in self._resident or tenant in self._spilled:
                 raise StreamError(f"tenant {tenant!r} already exists")

@@ -11,6 +11,8 @@ integration points.
 from __future__ import annotations
 
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +22,7 @@ import repro
 from repro import api
 from repro.core.errors import FeedbackError, InvalidNodeSetError, ReproError
 from repro.core.nodeset import NodeSet
+from repro.feedback import store as feedback_store
 from repro.feedback import (
     CorrectionModel,
     FeedbackRecord,
@@ -166,11 +169,13 @@ class TestFeedbackStore:
 
 
 class FlatStore(FeedbackStore):
-    """The reference layout: one dict keyed by ``(class, method)``,
-    read by sorting every cell and ``replace``-copying the matches.
+    """The reference: one dict keyed by ``(class, method)``, read by
+    sorting every cell and ``replace``-copying the matches, under the
+    fold the store had before it indexed its truth-less rows.
 
-    Every aggregate update (``add`` and truth back-fill) goes through
-    ``_cell``, so overriding it routes them all here.
+    ``add`` fills truth through ``replace``, a back-fill and ``stats()``
+    walk every retained row, and :meth:`record` featurizes every row,
+    kept or dropped.  Every aggregate update goes through ``_cell``.
     """
 
     def __init__(self, **kwargs):
@@ -191,6 +196,60 @@ class FlatStore(FeedbackStore):
                 if qc == query_class
             }
 
+    def add(self, record):
+        with self._lock:
+            if record.exact is None and record.pair_key is not None:
+                exact = self._truths.get(record.pair_key)
+                if exact is not None:
+                    record = replace(record, exact=exact)
+            self._cell(record.query_class, record.method).observe(record)
+            if len(self._records) < self.max_records:
+                self._records.append(record)
+            else:
+                self._dropped += 1
+        return record
+
+    def record(self, ancestors, descendants, method, estimate, **fields):
+        return self.add(
+            FeedbackRecord(
+                query_class=query_class(ancestors, descendants),
+                method=method,
+                estimate=float(estimate),
+                features=featurize(ancestors, descendants),
+                pair_key=pair_key(ancestors, descendants),
+                **fields,
+            )
+        )
+
+    def observe_truth_key(self, key, exact):
+        exact = float(exact)
+        filled = 0
+        with self._lock:
+            self._truths[key] = exact
+            for i, record in enumerate(self._records):
+                if record.pair_key == key and record.exact is None:
+                    updated = replace(record, exact=exact)
+                    self._records[i] = updated
+                    error = updated.signed_relative_error
+                    if error is not None:
+                        self._cell(
+                            updated.query_class, updated.method
+                        ).observe_truth(error)
+                    filled += 1
+        return filled
+
+    def stats(self):
+        with self._lock:
+            return {
+                "records": len(self._records),
+                "dropped": self._dropped,
+                "with_truth": sum(
+                    1 for r in self._records if r.exact is not None
+                ),
+                "classes": len({qc for qc, __ in self.flat}),
+                "truths": len(self._truths),
+            }
+
 
 #: Classes sharing prefixes: sorting joined "class␟method" strings
 #: would order these differently from sorting (class, method) pairs.
@@ -199,12 +258,14 @@ _METHODS = ("PM", "IM", "PL", "CROSS", "BOUND", "P")
 
 
 class TestFeedbackStoreDifferential:
-    """The class → method map ≡ the flat sort-everything reference."""
+    """The store ≡ :class:`FlatStore`: the same cells bit for bit, the
+    same retained rows (features included), ``stats()`` and fill
+    counts, after every step."""
 
     @staticmethod
     def _pairs():
         pairs = []
-        for shift in range(3):
+        for shift in range(8):
             a = NodeSet.from_arrays(
                 np.array([0, 2]) + 100 * shift, np.array([9, 5]) + 100 * shift
             )
@@ -231,32 +292,62 @@ class TestFeedbackStoreDifferential:
         )
 
     @staticmethod
-    def _assert_same(store, reference):
+    def _assert_same(store, reference, classes):
         assert store.classes() == tuple(
             sorted({qc for qc, __ in reference.flat})
         )
-        for qc in (*_PREFIX_CLASSES, "never-seen"):
+        for qc in (*classes, "never-seen"):
             got = list(store.method_stats(qc).items())
             want = list(reference.method_stats(qc).items())
             assert got == want, qc
+            # repr tells every float apart (-0.0 from 0.0 too).
+            assert repr(got) == repr(want), qc
         assert store.records() == reference.records()
-        assert store.stats() == {
-            **reference.stats(),
-            "classes": len({qc for qc, __ in reference.flat}),
-        }
+        assert store.stats() == reference.stats()
 
     @pytest.mark.parametrize("seed", range(6))
     def test_seeded_operation_sequences(self, seed):
-        rng = np.random.default_rng(seed)
+        # A store that keeps nothing, one that fills early, and one
+        # that never fills.
+        for max_records in (0, 12, 1_000):
+            self._check_sequence(np.random.default_rng(seed), max_records)
+
+    def _check_sequence(self, rng, max_records):
         pairs = self._pairs()
-        store = FeedbackStore(max_records=12)
-        reference = FlatStore(max_records=12)
+        classes = (*_PREFIX_CLASSES, query_class(*pairs[0]))
+        store = FeedbackStore(max_records=max_records)
+        reference = FlatStore(max_records=max_records)
         for step in range(150):
-            op = rng.choice(["add", "add", "add", "truth", "truth_key"])
+            op = rng.choice(
+                ["add", "add", "add", "record", "record", "truth", "truth_key"]
+            )
             if op == "add":
                 record = self._random_record(rng, pairs)
                 store.add(record)
                 reference.add(record)
+            elif op == "record":
+                a, d = pairs[rng.integers(len(pairs))]
+                method = str(rng.choice(_METHODS))
+                estimate = 50.0 * float(rng.random())
+                fields = {
+                    "exact": (
+                        float(rng.integers(0, 50))
+                        if rng.random() < 0.3
+                        else None
+                    ),
+                    "latency_s": float(rng.random()),
+                    "request_id": f"r{step}",
+                }
+                dropped = store.stats()["dropped"]
+                got = record_feedback(
+                    a, d, method, estimate, store=store, **fields
+                )
+                want = reference.record(a, d, method, estimate, **fields)
+                if store.stats()["dropped"] > dropped:
+                    # The one difference: a dropped row carries no
+                    # features, as nothing reads them.
+                    want = replace(want, features=())
+                assert got == want
             elif op == "truth":
                 a, d = pairs[rng.integers(len(pairs))]
                 exact = float(rng.integers(0, 50))
@@ -269,7 +360,7 @@ class TestFeedbackStoreDifferential:
                 assert store.observe_truth_key(key, exact) == (
                     reference.observe_truth_key(key, exact)
                 )
-            self._assert_same(store, reference)
+            self._assert_same(store, reference, classes)
         assert store.classes(), "the sequence recorded nothing"
 
     def test_returned_cells_are_copies(self):
@@ -287,6 +378,133 @@ class TestFeedbackStoreDifferential:
         assert store.method_stats("a[3]//d[4]") == before
         assert (store.records(), store.stats()) == (records, stats)
         assert list(before) == sorted(_METHODS)
+
+
+class _CountingList(list):
+    """A list that counts the rows read from it, one by one or by
+    iteration."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+    def __iter__(self):
+        for index in range(len(self)):
+            yield self[index]
+
+
+class TestBackFillCost:
+    """A back-fill reads its own pair's rows; ``stats()`` reads none."""
+
+    #: Errors whose float sum depends on the order they are folded
+    #: in: four rounds of them sum to 1.0 in this order, 0.0 reversed.
+    _ERRORS = (1e16, -1e16, 1.0)
+
+    def _store(self, pairs):
+        """Interleaved rows of every pair, plus rows without a pair key;
+        pair 1's estimates carry :attr:`_ERRORS` against truth 1.0."""
+        store = FeedbackStore()
+        for error in self._ERRORS * 4:
+            for index, pair in enumerate(pairs):
+                estimate = 1.0 + error if index == 1 else 3.0
+                record_feedback(*pair, "IM", estimate, store=store)
+            store.add(_record(estimate=3.0))
+        store._records = _CountingList(store._records)
+        return store
+
+    def test_backfill_reads_only_its_pairs_rows(self):
+        pairs = TestFeedbackStoreDifferential._pairs()
+        store = self._store(pairs)
+        assert store.observe_truth(*pairs[1], 1.0) == 12
+        assert store._records.reads == 12
+        store._records.reads = 0
+        assert store.observe_truth(*pairs[1], 2.0) == 0
+        assert store.observe_truth_key("no//such-pair", 1.0) == 0
+        assert store._records.reads == 0
+        filled = store.records(with_truth=True)
+        assert [r.pair_key for r in filled] == [pair_key(*pairs[1])] * 12
+        # Folded in arrival order, as the walk over every row did.
+        (cell,) = store.method_stats(query_class(*pairs[1])).values()
+        assert cell.truth_count == 12
+        assert cell.error_sum == 1.0
+
+    def test_stats_reads_no_rows(self):
+        pairs = TestFeedbackStoreDifferential._pairs()
+        store = self._store(pairs)
+        store.observe_truth(*pairs[0], 5.0)
+        store._records.reads = 0
+        stats = store.stats()
+        assert store._records.reads == 0
+        assert stats["records"] == 12 * (len(pairs) + 1)
+        assert stats["with_truth"] == 12
+
+
+class TestConcurrentRecording:
+    def test_threads_keep_the_store_consistent(self):
+        """Recorders and truth observers in several threads: the
+        retention decision, the truth lookup and the pending index
+        change together under the lock, so no update is lost."""
+        pairs = TestFeedbackStoreDifferential._pairs()
+        truths = {
+            pair_key(*pair): float(i + 1) for i, pair in enumerate(pairs)
+        }
+        clients, rows, bound = 4, 150, 400
+        store = FeedbackStore(max_records=bound)
+        errors: list[BaseException] = []
+        start = threading.Barrier(clients + 1)
+
+        def recorder(number):
+            try:
+                start.wait(30.0)
+                for i in range(rows):
+                    pair = pairs[(number + i) % len(pairs)]
+                    record_feedback(*pair, "IM", float(i), store=store)
+            except BaseException as error:  # asserted below
+                errors.append(error)
+
+        def observer():
+            try:
+                start.wait(30.0)
+                for pair in pairs:
+                    store.observe_truth(*pair, truths[pair_key(*pair)])
+            except BaseException as error:  # asserted below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # more interleavings
+        try:
+            threads = [
+                threading.Thread(target=recorder, args=(n,))
+                for n in range(clients)
+            ] + [threading.Thread(target=observer)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+
+        total = clients * rows
+        kept = store.records()
+        assert len(kept) == bound
+        assert store.stats() == {
+            "records": bound,
+            "dropped": total - bound,
+            "with_truth": bound,
+            "classes": 1,
+            "truths": len(pairs),
+        }
+        assert store._pending == {}
+        features = {pair_key(*pair): featurize(*pair) for pair in pairs}
+        for row in kept:
+            assert row.features == features[row.pair_key]
+            assert row.exact == truths[row.pair_key]
+        (cell,) = store.method_stats(kept[0].query_class).values()
+        assert cell.count == total
 
 
 # ----------------------------------------------------------------------
@@ -414,6 +632,51 @@ class TestRuntime:
         record = record_feedback(a, d, "IM", 10.0, store=store)
         assert record.pair_key == pair_key(a, d)
         assert store.records() == [record]
+
+    def test_full_store_skips_features(self, xmark_small, monkeypatch):
+        a, d = _operands(xmark_small)
+        store = FeedbackStore(max_records=1)
+        store.observe_truth(a, d, 8.0)
+        kept = record_feedback(a, d, "IM", 10.0, store=store)
+        assert (kept.features, kept.exact) == (featurize(a, d), 8.0)
+
+        calls = []
+        monkeypatch.setattr(
+            feedback_store, "featurize", lambda *args: calls.append(args)
+        )
+        dropped = record_feedback(a, d, "IM", 12.0, store=store)
+        assert calls == []
+        assert (dropped.features, dropped.exact) == ((), 8.0)
+        assert store.records() == [kept]
+        assert store.stats()["dropped"] == 1
+        cell = store.method_stats(query_class(a, d))["IM"]
+        assert (cell.count, cell.truth_count, cell.error_sum) == (
+            2,
+            2,
+            (10.0 - 8.0) / 8.0 + (12.0 - 8.0) / 8.0,
+        )
+
+    def test_store_filled_after_featurizing_drops_the_row_bare(
+        self, xmark_small, monkeypatch
+    ):
+        """Another thread can fill the store between record_feedback's
+        unlocked look and the locked append: the row is dropped and
+        comes back without features."""
+        a, d = _operands(xmark_small)
+        store = FeedbackStore(max_records=1)
+        other = _record()
+
+        def fill_then_featurize(ancestors, descendants):
+            store.add(other)
+            return featurize(ancestors, descendants)
+
+        monkeypatch.setattr(
+            feedback_store, "featurize", fill_then_featurize
+        )
+        dropped = record_feedback(a, d, "IM", 10.0, store=store)
+        assert dropped.features == ()
+        assert store.records() == [other]
+        assert store.stats()["dropped"] == 1
 
 
 #: Each call passes one type-confused argument to a closed-loop front

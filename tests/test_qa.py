@@ -14,6 +14,7 @@ from repro.core.errors import (
 )
 from repro.core.nodeset import NodeSet
 from repro.core.rng import make_rng
+from repro.feedback import FeedbackStore
 from repro.join import containment_join_size
 from repro.maintenance import (
     DynamicTTree,
@@ -32,6 +33,7 @@ from repro.qa.generators import (
 from repro.qa.oracles import (
     OracleFailure,
     check_cached_vs_uncached,
+    check_feedback_transparency,
     check_incremental_vs_rebuild,
     check_summary_geometry,
     check_wire_fuzz,
@@ -290,6 +292,53 @@ _MAINTENANCE_MUTANTS = [
 ]
 
 
+_REAL_FOLD = FeedbackStore._fold
+_REAL_ADD_NEW = FeedbackStore._add_new
+
+
+def _fold_skips_dropped_rows(self, record):
+    """A fold whose aggregates stop at the retained-record bound."""
+    if self._full():
+        self._dropped += 1
+        return
+    _REAL_FOLD(self, record)
+
+
+def _add_new_strips_features(self, record):
+    """A ``record_feedback`` append that drops every row's features."""
+    record.features = ()
+    return _REAL_ADD_NEW(self, record)
+
+
+def _full_one_row_late(self):
+    """A bound check that keeps one row past ``max_records``."""
+    return len(self._records) > self.max_records
+
+
+#: ``FeedbackStore`` mutants the ``feedback-transparency`` oracle must
+#: catch: (method, replacement, message).
+_FEEDBACK_MUTANTS = [
+    pytest.param(
+        "_fold",
+        _fold_skips_dropped_rows,
+        "changed the answers",
+        id="fold-skips-dropped-rows",
+    ),
+    pytest.param(
+        "_add_new",
+        _add_new_strips_features,
+        "lacks its operand pair's features",
+        id="add-new-strips-features",
+    ),
+    pytest.param(
+        "_full",
+        _full_one_row_late,
+        "dropped 3 of 8",
+        id="full-one-row-late",
+    ),
+]
+
+
 class TestOracleSubset:
     def test_every_oracle_clean_on_fixed_seeds(self):
         for seed in (20030609, 42, 7):
@@ -317,6 +366,17 @@ class TestOracleSubset:
         monkeypatch.setattr(cls, name, mutant)
         with pytest.raises(OracleFailure, match="incremental-vs-rebuild"):
             check_incremental_vs_rebuild(random_case(42))
+
+    @pytest.mark.parametrize(("name", "mutant", "message"), _FEEDBACK_MUTANTS)
+    def test_broken_feedback_store_is_caught(
+        self, monkeypatch, name, mutant, message
+    ):
+        """feedback-transparency fails when a bounded store aggregates,
+        retains or featurizes differently."""
+        check_feedback_transparency(random_case(42))
+        monkeypatch.setattr(FeedbackStore, name, mutant)
+        with pytest.raises(OracleFailure, match=message):
+            check_feedback_transparency(random_case(42))
 
 
 class TestWireFuzz:

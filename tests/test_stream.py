@@ -890,6 +890,18 @@ class TestCatalogStore:
         assert store.tenants() == []
 
     @pytest.mark.parametrize(
+        "keyword", ["num_cells", "reservoir_capacity", "clock", "elemnts"]
+    )
+    def test_unknown_create_keyword_is_typed(self, keyword):
+        store = CatalogStore()
+        store.create("alpha", WORKSPACE, elements=_pool())
+        with pytest.raises(StreamError, match=repr(keyword)):
+            store.create("beta", WORKSPACE, **{keyword: 4})
+        assert store.tenants() == ["alpha"]
+        store.create("beta", WORKSPACE, num_buckets=8, seed=3)
+        assert store.tenants() == ["alpha", "beta"]
+
+    @pytest.mark.parametrize(
         ("capacity", "buffer_capacity"),
         [(1, 0), (1, -3), (1, 2.5), (1, None), (2.5, 64), ("2", 64)],
         ids=repr,
