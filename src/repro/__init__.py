@@ -81,7 +81,7 @@ from repro.api import (
     serve,
 )
 
-__version__ = "6.0.0"
+__version__ = "7.0.0"
 
 __all__ = [
     "CardinalityGenerator",

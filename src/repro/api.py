@@ -8,8 +8,8 @@ needs without touching package internals:
   estimation over a whole document;
 * :func:`serve` — a micro-batching estimation front-end
   (:class:`EstimationService`) with per-request deadlines, graceful
-  degradation and load shedding, for callers that issue many requests
-  (an optimizer costing candidate plans) rather than one;
+  degradation and circuit breaking, for callers that issue many
+  requests (an optimizer costing candidate plans) rather than one;
 * :func:`optimize` — join-order selection for a containment-join chain,
   driven by any :class:`CardinalityGenerator` (estimator-backed,
   service-backed, exact-oracle, or the pessimistic upper bound), with
@@ -393,8 +393,7 @@ def serve(
         correction: optional fitted :class:`CorrectionModel` applied as
             a post-multiplier to full-fidelity answers.
         **options: forwarded to :class:`EstimationService` —
-            ``max_batch``, ``queue_size``, ``memoize``, breaker tuning,
-            caches.  ``workers`` defaults to and accepts only 0 (3.0.0
+            ``max_batch``, ``memoize``, breaker tuning, caches.  ``workers`` defaults to and accepts only 0 (3.0.0
             removed the worker pool).
     """
     return EstimationService(

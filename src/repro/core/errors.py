@@ -117,17 +117,6 @@ class BudgetExceededError(EstimationError):
     """
 
 
-class DeadlineExceededError(ReproError, TimeoutError):
-    """A deadline expired before a result could be produced.
-
-    Also a :class:`TimeoutError`, so generic timeout handling catches it.
-    The estimation service raises it from
-    :meth:`~repro.service.ServiceFuture.result` when the caller-side wait
-    times out; requests that miss their deadline *inside* the service do
-    not raise — they degrade down the fallback ladder and return a
-    flagged estimate instead.
-    """
-
 
 class ServiceError(ReproError):
     """The estimation service was used incorrectly (e.g. submit after stop)."""

@@ -117,7 +117,7 @@ class FeedbackRecord:
             dropped it.
         exact: the true join size when known, else None.
         latency_s: service-side residency of the request.
-        status: response status ("ok"/"degraded"/"shed").
+        status: response status ("ok"/"degraded").
         degraded_reason: why the ladder answered, None for full fidelity.
         pair_key: operand content fingerprints ``"a_fp//d_fp"`` — how
             truth observed later finds this record.

@@ -3,17 +3,17 @@
 The package's estimators answer one call at a time; this subsystem
 serves them the way an optimizer consumes them — many requests, from
 one or several client threads, repeated configurations, per-request
-latency budgets — in the callers' own threads.  See
+latency budgets.  Each call runs its own requests in the calling
+thread and answers them before it returns.  See
 :class:`EstimationService` for the mechanism inventory (micro-batching,
-result memoization, deadlines with graceful degradation, load shedding,
-circuit breaking); ``perfbench/`` measures it on the ``plan`` and
-``serve`` workloads.
+result memoization, deadlines with graceful degradation, circuit
+breaking); ``perfbench/`` measures it on the ``plan``, ``serve`` and
+``churn`` workloads.
 """
 
 from repro.service import wire
 from repro.service.degrade import DegradationLadder
 from repro.service.engine import CircuitBreaker, EstimationService
-from repro.service.queue import RequestQueue
 from repro.service.request import (
     LADDER,
     EstimateRequest,
@@ -28,7 +28,6 @@ __all__ = [
     "EstimateRequest",
     "EstimateResponse",
     "EstimationService",
-    "RequestQueue",
     "ServiceFuture",
     "wire",
 ]

@@ -1,11 +1,11 @@
 """Graceful degradation: cheaper answers when full fidelity won't fit.
 
-Under deadline pressure, an open circuit breaker, or overload, the
-service does not error — it walks a fixed ladder of progressively
-cheaper estimators and returns the best answer the remaining budget
-allows (paper Section 6 frames exactly this trade: statistics already
-in the catalog cost nothing at plan time, sampling costs base-data
-access).
+Under deadline pressure, an open circuit breaker, a stale snapshot or
+an estimator fault, the service does not error — it walks a fixed
+ladder of progressively cheaper estimators and returns the best answer
+the remaining budget allows (paper Section 6 frames exactly this
+trade: statistics already in the catalog cost nothing at plan time,
+sampling costs base-data access).
 
 Rungs, in order:
 

@@ -4,41 +4,39 @@
 estimators, built for the optimizer-facing serving shape the paper
 assumes (Section 6: estimation happens *per candidate plan*, so one
 optimization pass asks for the same few joins many times under slightly
-different configurations).  It runs in its callers' threads: a caller
-waiting on a request executes queued micro-batches itself
-(caller-runs).  It layers four mechanisms over the bulk execution paths:
+different configurations).  One caller, one batch: each call runs the
+requests it was handed in the calling thread and answers them before
+it returns.  Concurrent callers share the memo, the caches, the
+breakers and the feedback store, each behind its own lock, and nothing
+else.  It layers four mechanisms over the bulk execution paths:
 
-**Micro-batching.**  Callers draw coalesced batches from the
-:class:`~repro.service.queue.RequestQueue` — compatible sampling
-requests execute as one
+**Micro-batching.**  A burst's requests are grouped by
+:meth:`~repro.service.request.EstimateRequest.batch_signature` in
+first-arrival order, and each group runs in chunks of ``max_batch`` —
+compatible sampling requests execute as one
 :meth:`~repro.estimators.sampling_base.SamplingEstimator.estimate_across`
 kernel pass, amortizing index construction and probe dispatch.
 
-**One dedup table.**  A *seeded* request pins its RNG stream, making
-its estimate a pure function of (operand fingerprints, method, config);
-deterministic methods (PL, PH, COV, WAVELET) are pure functions
-outright.  Each such key is either in flight (one lead, its duplicates
-riding on it as followers) or memoized in a content-keyed LRU, never
-neither.  Unseeded stochastic requests are never memoized — they owe
-the caller fresh randomness.
+**Memo and in-burst duplicates.**  A *seeded* request pins its RNG
+stream, making its estimate a pure function of (operand fingerprints,
+method, config); deterministic methods (PL, PH, COV, WAVELET) are pure
+functions outright.  Such a key answered at full fidelity is memoized
+in a content-keyed LRU, and within one burst the requests that share
+a key, a deadline and a staleness bound run once and share the first
+one's answer.  Unseeded stochastic requests are never memoized — they
+owe the caller fresh randomness.
 
 **Deadlines with graceful degradation.**  A request's relative deadline
-is checked when it is scheduled: already past due, breaker open, or
+is checked when its batch starts: already past due, breaker open, or
 predicted (EWMA) latency exceeding the remaining budget all route the
 request down the :class:`~repro.service.degrade.DegradationLadder`
 instead of erroring.  A running kernel cannot be interrupted, so a
 full-fidelity run that finishes late is still returned — flagged
 ``deadline_missed`` — and counts against the method's breaker.
 
-**Load shedding and circuit breaking.**  A full queue sheds the request
-inline (bottom ladder rung, status ``"shed"``) rather than queueing
-unboundedly; a method that keeps failing or missing deadlines trips its
-:class:`CircuitBreaker`, short-circuiting further full-fidelity
-attempts to the ladder until a cool-off probe succeeds.  A bursting
-single caller (``map``) admits through
-:meth:`~repro.service.queue.RequestQueue.put_many` and drains inline
-when the queue fills, so its own burst coalesces into full micro-batches
-instead of being shed against itself.
+**Circuit breaking.**  A method that keeps failing or missing deadlines
+trips its :class:`CircuitBreaker`, short-circuiting further
+full-fidelity attempts to the ladder until a cool-off probe succeeds.
 
 ``submit`` (a burst of one) and ``map`` share one admission pass, and
 every response, hit or computed, is built by the same ``_resolve``.
@@ -51,7 +49,7 @@ from __future__ import annotations
 import numbers
 import threading
 import time
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable
 
 from repro.core.errors import ServiceError, StreamError
 from repro.core.nodeset import NodeSet
@@ -72,12 +70,10 @@ from repro.obs.metrics import MetricsRegistry
 from repro.perf.cache import SummaryCache, use_cache
 from repro.perf.index_cache import IndexCache, use_index_cache
 from repro.service.degrade import DegradationLadder
-from repro.service.queue import RequestQueue
 from repro.service.request import (
     LADDER,
     EstimateRequest,
     EstimateResponse,
-    Resolution,
     ServiceFuture,
 )
 
@@ -213,14 +209,15 @@ class CircuitBreaker:
 class EstimationService:
     """Micro-batching front-end over the estimator registry.
 
-    Any number of client threads may share one service; each runs the
-    queued work its own requests wait on.
+    Each call runs its own requests in the calling thread and answers
+    them before it returns.  Any number of client threads may share one
+    service; they share its memo, caches, breakers and feedback store,
+    so two threads asking the same cold key compute it twice, with
+    bit-identical seeded answers.
 
     Args:
         workers: must be 0 (3.0.0 removed the worker pool).
         max_batch: cap on requests coalesced into one kernel pass.
-        queue_size: admission bound; a full queue sheds (the request is
-            still answered — inline, from the bottom ladder rung).
         catalog: optional :class:`~repro.catalog.StatisticsCatalog`
             enabling the ladder's plan-time ``catalog`` rung.
         summary_cache: shared summary cache installed ambiently around
@@ -278,7 +275,6 @@ class EstimationService:
         *,
         workers: int = 0,
         max_batch: int = 16,
-        queue_size: int = 1024,
         catalog: Any = None,
         summary_cache: SummaryCache | None = None,
         index_cache: IndexCache | None = None,
@@ -300,7 +296,6 @@ class EstimationService:
             )
         for name, value in (
             ("max_batch", max_batch),
-            ("queue_size", queue_size),
             ("memo_size", memo_size),
         ):
             if not isinstance(value, numbers.Integral) or value < 1:
@@ -334,7 +329,6 @@ class EstimationService:
             # caches: the workspace (or every tenant of the store)
             # drops its pre-mutation fingerprints from them on apply.
             live.attach_caches(self.summary_cache, self.index_cache)
-        self._queue = RequestQueue(maxsize=queue_size)
         self._ladder = DegradationLadder(catalog=catalog)
         self._factory = (
             estimator_factory
@@ -346,23 +340,16 @@ class EstimationService:
         self._breakers: dict[str, CircuitBreaker] = {}
         self._breakers_lock = threading.Lock()
         self.metrics = MetricsRegistry()
-        # Resolution signalling is one service-wide condition (futures
-        # are resolved exactly once, waiters are rare) and the hot-path
-        # metric handles are bound once — per-request recording is then
-        # attribute calls, not name lookups.
-        self._resolution = Resolution()
+        # The hot-path metric handles are bound once — per-request
+        # recording is then attribute calls, not name lookups.
         self._m_responses = self.metrics.counter("service.responses")
         self._m_wait = self.metrics.histogram("service.wait_s")
         self._m_latency = self.metrics.histogram("service.latency_s")
         self._m_deadline_miss = self.metrics.counter(
             "service.deadline_miss"
         )
-        # The one dedup table: result key -> its in-flight lead.  The
-        # lock also covers the memo's lookups at admission and a lead's
-        # memoize-and-leave, so a key is either in flight or memoized.
-        self._inflight: dict[Any, ServiceFuture] = {}
-        self._inflight_lock = threading.Lock()
         self._m_memo_hits = self.metrics.counter("service.memo_hits")
+        # In-burst duplicates, under the name perfbench reads.
         self._m_inflight_hits = self.metrics.counter(
             "service.inflight_hits"
         )
@@ -397,19 +384,15 @@ class EstimationService:
         self.close()
 
     def close(self) -> None:
-        """Stop admitting and answer whatever is still queued.
+        """Stop admitting: every later call raises :class:`ServiceError`.
 
-        Requests still queued at close are drained and answered from
-        the bottom ladder rung (status ``"shed"``) so no future is left
-        unresolved.  The caches attached to ``live`` at construction are
-        detached, so later writes no longer invalidate into them.
+        Each call answers its requests before it returns, so nothing is
+        left to answer.  The caches attached to ``live`` at construction
+        are detached, so later writes no longer invalidate into them.
         """
         if self._closed:
             return
         self._closed = True
-        self._queue.close()
-        for future in self._queue.drain():
-            self._degrade(future, "shutdown")
         if self.live is not None:
             self.live.detach_caches(self.summary_cache, self.index_cache)
 
@@ -431,17 +414,20 @@ class EstimationService:
         request_id: str | None = None,
         **config: Any,
     ) -> ServiceFuture:
-        """Submit one request; returns immediately with a future.
+        """Answer one request; returns its future, already resolved.
 
         Either pass a prebuilt :class:`EstimateRequest` via ``request=``
         or the same arguments :func:`repro.api.estimate` takes plus an
         optional ``deadline_s``.  Validation (operand types, method
-        resolution) happens here, in the calling thread.
+        resolution) happens here, in the calling thread.  A submit is a
+        burst of one: it runs before this call returns, so separate
+        submits never share a batch — :meth:`map` is the entry point
+        that coalesces.
 
         With a live workspace (``EstimationService(live=...)``), string
         operands name live tags: both are snapshotted atomically off
         the workspace — ``tenant=`` selects the store tenant — and the
-        response disclosed ``staleness_s``/``applied_seq``.  A request
+        response discloses ``staleness_s``/``applied_seq``.  A request
         whose snapshot ages past ``max_staleness_s`` before executing
         degrades with reason ``"stale"``.
         """
@@ -473,12 +459,7 @@ class EstimationService:
                 request_id=request_id,
             )
         (future,), pending = self._admit((request,), live, snapshot_seq)
-        if pending:
-            if not self._queue.put(future):
-                self._count("service.shed")
-                self._degrade(future, "overload")
-            else:
-                self._m_submitted.inc()
+        self._run_burst(pending)
         return future
 
     def _snapshot_live(
@@ -556,15 +537,11 @@ class EstimationService:
     ) -> tuple[list[ServiceFuture], list[ServiceFuture]]:
         """Admit a burst of requests in one pass.
 
-        Returns every request's future, in order, and the futures that
-        still need queueing.  The burst checks for a closed service and
-        reads the clock once; each request is routed on its own.  In
-        one critical section every key is looked up in the memo, and
-        each miss becomes a lead in the in-flight table or a follower
-        of an identical request already in flight.  The memo hits are
-        then answered at once, without touching the queue.  Every key
-        is derived before any lead registers, so a burst that raises
-        leaves nothing behind.
+        Returns every request's future, in order, and the futures still
+        unanswered, in order.  The burst checks for a closed service and
+        reads the clock once; each request is routed on its own.  Every
+        memo key is looked up with one ``peek_many`` call, and the hits
+        are answered at once.
         """
         if self._closed:
             raise ServiceError("service is closed")
@@ -573,11 +550,9 @@ class EstimationService:
         futures: list[ServiceFuture] = []
         for request in requests:
             routed_method: str | None = None
-            routed_from: str | None = None
             if router is not None:
                 arm, arm_config = router.route(request, self.feedback)
                 routed_method = arm
-                routed_from = request.method
                 self._m_routed.inc()
                 self._count(f"service.routed.{arm}")
                 if arm != BOUND_METHOD and (
@@ -596,17 +571,14 @@ class EstimationService:
                         max_staleness_s=request.max_staleness_s,
                         request_id=request.request_id,
                     )
-            future = ServiceFuture(
-                request, now, self._resolution, self.help_drain
-            )
+            future = ServiceFuture(request, now)
             future.routed_method = routed_method
-            future.routed_from = routed_from
             future.live = live
             future.snapshot_seq = snapshot_seq
             futures.append(future)
             if routed_method == BOUND_METHOD:
-                # The bound arm never queues: the ladder's bottom rung is
-                # one cached O(|A|) scan, answered in the calling thread
+                # The bound arm never runs a batch: the ladder's bottom
+                # rung is one cached O(|A|) scan, answered at admission
                 # (status "ok", no reason, batch of 1, answered now).
                 self._resolve(
                     future,
@@ -614,52 +586,23 @@ class EstimationService:
                     "ok", _BOUND_LEVEL, None, 1, now, now,
                 )
         memo = self._memo
-        if memo is None:
-            return futures, [f for f in futures if not f.done()]
         keyed = [
             future
             for future in futures
             if future.result_key is not None and not future.done()
         ]
-        hits: list[tuple[ServiceFuture, Estimate]] = []
-        pending: list[ServiceFuture] = []
-        followed = 0
-        inflight = self._inflight
-        with self._inflight_lock:
-            cached = iter(
-                memo.peek_many([f.result_key for f in keyed]) if keyed else ()
-            )
-            for future in futures:
-                if future.done():
-                    continue
-                key = future.result_key
-                if key is None:
-                    pending.append(future)
-                    continue
-                estimate = next(cached)
+        if memo is not None and keyed:
+            hits = 0
+            cached = memo.peek_many([future.result_key for future in keyed])
+            for future, estimate in zip(keyed, cached):
                 if estimate is not None:
-                    hits.append((future, estimate))
-                    continue
-                lead = inflight.get(key)
-                if lead is not None:
-                    # Ride on the identical request already in flight:
-                    # the duplicate never enters the queue; the lead
-                    # resolves it.
-                    lead.followers.append(future)
-                    followed += 1
-                    continue
-                inflight[key] = future
-                future.followers = []
-                pending.append(future)
-        for future, estimate in hits:
-            # The hot path, so positional: status "ok", ladder level 0,
-            # no reason, batch of 1, started and answered now.
-            self._resolve(future, estimate, "ok", 0, None, 1, now, now)
-        if hits:
-            self._m_memo_hits.inc(len(hits))
-        if followed:
-            self._m_inflight_hits.inc(followed)
-        return futures, pending
+                    # The hot path, so positional: status "ok", ladder
+                    # level 0, no reason, batch of 1, answered now.
+                    self._resolve(future, estimate, "ok", 0, None, 1, now, now)
+                    hits += 1
+            if hits:
+                self._m_memo_hits.inc(hits)
+        return futures, [future for future in futures if not future.done()]
 
     def estimate(
         self,
@@ -674,7 +617,10 @@ class EstimationService:
         timeout: float | None = None,
         **config: Any,
     ) -> EstimateResponse:
-        """Synchronous convenience: submit and wait for the response."""
+        """Answer one request: :meth:`submit`'s response.
+
+        ``timeout`` is accepted and unused: nothing waits.
+        """
         return self.submit(
             ancestors,
             descendants,
@@ -684,7 +630,7 @@ class EstimationService:
             max_staleness_s=max_staleness_s,
             tenant=tenant,
             **config,
-        ).result(timeout)
+        ).result()
 
     def estimate_wire(
         self, payload: bytes, *, timeout: float | None = None
@@ -697,7 +643,7 @@ class EstimationService:
         Decode and encode time are metered separately from estimation
         (``service.wire_decode_s`` / ``service.wire_encode_s`` in
         :meth:`stats`), so wire overhead never hides inside service
-        latency.
+        latency.  ``timeout`` is accepted and unused: nothing waits.
         """
         from repro.service import wire
 
@@ -706,7 +652,7 @@ class EstimationService:
         self._m_wire_decode.observe(time.perf_counter() - start)
         self._m_wire_requests.inc()
         self._count(f"service.wire_{wire_format}")
-        response = self.submit(request=request).result(timeout)
+        response = self.submit(request=request).result()
         start = time.perf_counter()
         encoded = wire.encode_response(response, wire_format)
         self._m_wire_encode.observe(time.perf_counter() - start)
@@ -754,104 +700,96 @@ class EstimationService:
         requests: Iterable[EstimateRequest],
         timeout: float | None = None,
     ) -> list[EstimateResponse]:
-        """Submit many requests, wait for all, preserve order.
+        """Answer many requests in the calling thread, in order.
 
         The burst is admitted in one pass: one clock reading for every
-        request, one dedup lookup under one lock, and the memo hits
-        answered at once, without queueing.  Every request of the burst
-        therefore counts its deadline from that one reading.  The rest
-        enters the queue through ``put_many`` — bulk admission
-        under one queue lock, so compatible requests are fully bucketed
-        before the first batch is drawn and coalesce into real
-        micro-batches.  When the burst exceeds the queue bound, the
-        caller drains a batch inline and admits the remainder instead
-        of shedding its own requests against itself; shedding remains
-        the contract for *competing* callers under genuine overload.
-
-        The calling thread never sleeps while its requests are queued:
-        each ``result`` executes queued micro-batches until its own
-        request is answered (caller-runs), so a burst runs without a
-        thread handoff.
+        request, one memo lookup, and the memo hits answered at once.
+        Every request of the burst therefore counts its deadline from
+        that one reading.  The rest runs before this call returns: its
+        batch-signature groups run in first-arrival order, in chunks of
+        ``max_batch``, so compatible requests coalesce however large the
+        burst is.
+        ``timeout`` is accepted and unused: nothing waits.
 
         A ``requests`` that is not an iterable of
         :class:`EstimateRequest` raises :class:`ServiceError` before any
         request is admitted.
         """
         requests = _request_burst(requests)
-        if self._router is None:
+        if self._router is None or len(requests) < 2:
+            # One pass; for a burst of at most one request that is also
+            # one-at-a-time admission, and it refuses a closed service
+            # even for an empty burst.
             futures, pending = self._admit(requests)
         else:
             # A router reads the feedback that answers given at admission
             # record (memo hits, the bound arm), so a routed burst admits
             # its requests one at a time, each after the one before was
-            # answered.
+            # answered; the burst still runs as one.
             futures, pending = [], []
             for request in requests:
-                admitted, queued = self._admit((request,))
+                admitted, unanswered = self._admit((request,))
                 futures += admitted
-                pending += queued
-        offset = 0
-        while offset < len(pending):
-            admitted = self._queue.put_many(pending[offset:])
-            if admitted:
-                self._m_submitted.inc(admitted)
-                offset += admitted
-            if offset >= len(pending):
-                break
-            # Queue full (or closed): make room by draining one batch
-            # in this thread before admitting the rest.
-            if not self._drain_one() and self._queue.closed:
-                for future in pending[offset:]:
-                    self._count("service.shed")
-                    self._degrade(future, "shutdown")
-                break
-            # else: other callers drained what was queued; re-admit the
-            # remainder.
-        return [future.result(timeout) for future in futures]
+                pending += unanswered
+        self._run_burst(pending)
+        return [future.result() for future in futures]
 
-    def help_drain(self, futures: Sequence[ServiceFuture]) -> None:
-        """Execute queued micro-batches in the calling thread until
-        every future in ``futures`` is resolved or the queue is empty.
+    def _run_burst(self, pending: list[ServiceFuture]) -> None:
+        """Run a burst's unanswered requests in the calling thread.
 
-        Work-conserving, not selective: the caller takes whatever batch
-        is oldest, its own requests or another client's.  A future still
-        unresolved on return is held by another caller's thread (its
-        batch, or the lead it follows, is running there).
-        :meth:`ServiceFuture.result` calls this before it waits.
+        With the memo on, requests with the same result key,
+        ``deadline_s`` and ``max_staleness_s`` run once: the first runs
+        and the rest share its answer, ok or degraded, since nothing
+        that decides it can differ between them.  The requests that run
+        are grouped by batch signature in first-arrival order, and each
+        group runs in chunks of at most ``max_batch``, in arrival order.
         """
-        for future in futures:
-            while not future.done():
-                if not self._drain_one():
-                    return
+        if not pending:
+            return
+        if self._memo is not None:
+            pending = self._group_duplicates(pending)
+        groups: dict[tuple[Any, ...], list[ServiceFuture]] = {}
+        for future in pending:
+            groups.setdefault(future.signature, []).append(future)
+        self._m_submitted.inc(len(pending))
+        step = self.max_batch
+        with use_cache(self.summary_cache), use_index_cache(
+            self.index_cache
+        ):
+            for group in groups.values():
+                for start in range(0, len(group), step):
+                    self._execute_batch(group[start:start + step])
 
-    def _drain_one(self) -> bool:
-        """Execute the oldest queued micro-batch in this thread; False
-        when the queue is empty.  An error escaping the batch fails its
-        unanswered requests and their followers, leaving none in flight.
-        """
-        batch = self._queue.take_batch(self.max_batch)
-        if not batch:
-            return False
-        try:
-            with use_cache(self.summary_cache), use_index_cache(
-                self.index_cache
-            ):
-                self._execute_batch(batch)
-        except BaseException as error:
-            for future in batch:
-                for follower in self._settle(future):
-                    follower.fail(error)
-                if not future.done():
-                    future.fail(error)
-            raise
-        return True
+    def _group_duplicates(
+        self, pending: list[ServiceFuture]
+    ) -> list[ServiceFuture]:
+        """The requests that run, in order; each keyed one carries its
+        in-burst duplicates, counted in ``service.inflight_hits``."""
+        runs: list[ServiceFuture] = []
+        groups: dict[tuple[Any, ...], list[ServiceFuture]] = {}
+        for future in pending:
+            key = future.result_key
+            if key is not None:
+                request = future.request
+                group = groups.setdefault(
+                    (key, request.deadline_s, request.max_staleness_s), []
+                )
+                group.append(future)
+                if len(group) > 1:
+                    continue
+            runs.append(future)
+        for first, *duplicates in groups.values():
+            first.duplicates = duplicates
+        if len(runs) < len(pending):
+            self._m_inflight_hits.inc(len(pending) - len(runs))
+        return runs
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
 
     def stats(self) -> dict[str, Any]:
-        """Queue depth, counters, latency percentiles, breaker states."""
+        """Counters, latency percentiles, breaker and cache states."""
         counters = self.metrics.counters()
         # Per-method, per-reason degradation breakdown: the flat
         # ``service.degraded_by.<method>.<reason>`` counters, unfolded
@@ -873,7 +811,6 @@ class EstimationService:
                 for name, breaker in self._breakers.items()
             }
         return {
-            "queue_depth": len(self._queue),
             "closed": self._closed,
             "counters": counters,
             "degraded_by": degraded_by,
@@ -1003,10 +940,12 @@ class EstimationService:
         started_at: float,
         batch_size: int,
     ) -> None:
-        """Answer a lead that ran at full fidelity, and its followers."""
+        """Answer a request that ran at full fidelity, and its in-burst
+        duplicates, and memoize the answer under its key."""
         now = self._clock()
-        followers = self._settle(future, estimate)
-        for done in (future, *followers):
+        if future.result_key is not None and self._memo is not None:
+            self._memo.put(future.result_key, estimate)
+        for done in (future, *future.duplicates):
             self._resolve(
                 done, estimate, "ok", 0, None, batch_size, started_at, now
             )
@@ -1029,7 +968,7 @@ class EstimationService:
             > future.request.max_staleness_s
         ):
             # The operands were snapshotted at submit; mutations that
-            # landed while the request queued cannot retroactively
+            # landed before its batch started cannot retroactively
             # enter the snapshot, so a too-old snapshot degrades
             # honestly instead of serving data the caller ruled out.
             return "stale"
@@ -1052,49 +991,21 @@ class EstimationService:
         self,
         future: ServiceFuture,
         reason: str,
-        started_at: float | None = None,
-        batch_size: int = 1,
+        started_at: float,
+        batch_size: int,
     ) -> None:
-        """Answer ``future`` from the ladder: status ``"degraded"`` for a
-        request its batch started, ``"shed"`` for one that never ran
-        (no ``started_at``).
-
-        An estimator error would recur for an identical request, so the
-        followers of a lead that degrades with reason ``"error"`` share
-        its answer.  Any other reason is the lead's own (its deadline,
-        an overload instant); its followers may allow more, so the
-        first one takes over the in-flight entry and is queued, before
-        the lead resolves and wakes its waiters, the rest riding on it.
-        One the queue refuses is shed and hands on in turn.
-        """
-        while True:
-            if reason == "error":
-                answered, successor = (future, *self._settle(future)), None
-            else:
-                answered, successor = (future,), self._hand_over(future)
-            queued = successor is not None and self._queue.put(successor)
-            now = self._clock()
-            for done in answered:
-                estimate, level = self._ladder.degrade(done.request)
-                self._count("service.degraded")
-                self._count(f"service.degraded.{reason}")
-                self._count(
-                    f"service.degraded_by.{done.request.method}.{reason}"
-                )
-                self._resolve(
-                    done,
-                    estimate,
-                    "shed" if started_at is None else "degraded",
-                    level,
-                    reason,
-                    batch_size,
-                    now if started_at is None else started_at,
-                    now,
-                )
-            if successor is None or queued:
-                return
-            self._count("service.shed")
-            future, started_at, batch_size = successor, None, 1
+        """Answer ``future`` and its in-burst duplicates from the ladder
+        (status ``"degraded"``); each counts under ``reason``."""
+        now = self._clock()
+        estimate, level = self._ladder.degrade(future.request)
+        for done in (future, *future.duplicates):
+            self._count("service.degraded")
+            self._count(f"service.degraded.{reason}")
+            self._count(f"service.degraded_by.{done.request.method}.{reason}")
+            self._resolve(
+                done, estimate, "degraded", level, reason, batch_size,
+                started_at, now,
+            )
 
     def _resolve(
         self,
@@ -1202,41 +1113,6 @@ class EstimationService:
     # ------------------------------------------------------------------
     # Small helpers
     # ------------------------------------------------------------------
-
-    def _settle(
-        self, lead: ServiceFuture, estimate: Estimate | None = None
-    ) -> list[ServiceFuture]:
-        """Take a settling lead out of the in-flight table and return
-        its followers; a future that never led has none.
-
-        With ``estimate`` the lead memoizes it in the same critical
-        section, so an identical request always follows or hits.
-        """
-        followers = lead.followers
-        if followers is None:
-            return []
-        with self._inflight_lock:
-            if estimate is not None:
-                self._memo.put(lead.result_key, estimate)
-            lead.followers = None
-            del self._inflight[lead.result_key]
-        return followers
-
-    def _hand_over(self, lead: ServiceFuture) -> ServiceFuture | None:
-        """Pass a degraded lead's in-flight entry to its first follower,
-        the rest riding on it; None when nobody followed."""
-        followers = lead.followers
-        if followers is None:
-            return None
-        with self._inflight_lock:
-            lead.followers = None
-            if not followers:
-                del self._inflight[lead.result_key]
-                return None
-            successor = followers[0]
-            successor.followers = followers[1:]
-            self._inflight[lead.result_key] = successor
-        return successor
 
     def _breaker(self, method: str) -> CircuitBreaker:
         with self._breakers_lock:

@@ -8,16 +8,14 @@ malformed request raises a typed error at the call site:
 :class:`~repro.core.errors.InvalidNodeSetError` for an operand, and
 :class:`~repro.core.errors.ServiceError` for any other field.
 
-A :class:`ServiceFuture` is the caller's handle: ``result(timeout)``
-first runs the request in the calling thread if it is still queued,
-then waits for whichever caller's thread holds it (raising
-:class:`~repro.core.errors.DeadlineExceededError` if that *wait* times
-out — requests that miss their deadline inside the service still
-resolve, with a degraded estimate).
+A :class:`ServiceFuture` is the handle ``submit`` returns.  The
+service answers a request in the calling thread before it hands the
+future out, so ``result()`` returns at once; a request that misses its
+deadline inside the service still resolves, with a degraded estimate.
 
 An :class:`EstimateResponse` flags exactly what the caller got: the
 :class:`~repro.estimators.base.Estimate`, the degradation-ladder level
-that produced it, whether the deadline was missed, and queue/execute
+that produced it, whether the deadline was missed, and wait/execute
 timings.  ``to_dict()`` reuses the versioned ``Estimate.to_dict()`` wire
 schema, so service replies and telemetry share one format.
 """
@@ -26,12 +24,10 @@ from __future__ import annotations
 
 import itertools
 import numbers
-import threading
-import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
-from repro.core.errors import DeadlineExceededError, ServiceError
+from repro.core.errors import ServiceError
 from repro.core.nodeset import NodeSet, require_node_set
 from repro.core.workspace import Workspace
 from repro.estimators.base import Estimate
@@ -42,10 +38,9 @@ from repro.estimators.registry import canonical_name
 LADDER = ("requested", "catalog", "bound")
 
 #: Response statuses.  "ok" ran the requested estimator; "degraded" fell
-#: down the ladder (deadline pressure, open breaker, or an estimator
-#: fault); "shed" never entered the queue (overload) and was answered
-#: inline with the model bound.
-STATUSES = ("ok", "degraded", "shed")
+#: down the ladder (deadline pressure, open breaker, a stale snapshot,
+#: or an estimator fault).
+STATUSES = ("ok", "degraded")
 
 _request_ids = itertools.count(1)
 
@@ -63,7 +58,7 @@ class EstimateRequest:
             ``seed=``, ``budget=``, ...), exactly as
             :func:`repro.api.estimate` would forward them.
         deadline_s: relative deadline in seconds, measured from
-            submission.  ``None`` means no deadline: the request always
+            admission.  ``None`` means no deadline: the request always
             runs the requested estimator at full fidelity.
         max_staleness_s: bounded-staleness contract for live-workspace
             requests: the answer's data snapshot must not be missing
@@ -137,7 +132,7 @@ class EstimateRequest:
             hash(signature)
         except TypeError as error:
             raise ServiceError(
-                f"request {self.request_id} cannot be queued: its "
+                f"request {self.request_id} cannot be batched: its "
                 f"workspace or configuration {self.config!r} is "
                 f"unhashable ({error})"
             ) from None
@@ -196,7 +191,7 @@ class EstimateResponse:
     Attributes:
         estimate: the result — from the requested estimator
           (``ladder_level == 0``) or a fallback rung.
-        status: "ok", "degraded", or "shed" (see :data:`STATUSES`).
+        status: "ok" or "degraded" (see :data:`STATUSES`).
         ladder_level: index into :data:`LADDER`.
         ladder_name: the rung's name ("requested"/"catalog"/"bound").
         deadline_missed: the response was produced after the request's
@@ -206,9 +201,9 @@ class EstimateResponse:
           (expected latency exceeded the remaining budget), "breaker"
           (the method's circuit breaker was open), "stale" (a live
           request's snapshot aged past its ``max_staleness_s`` before it
-          could execute), "overload" (shed), or "error" (the requested
-          estimator raised).
-        wait_s / service_s: queue wait and total request residency.
+          could execute), or "error" (the requested estimator raised).
+        wait_s / service_s: time from admission to the start of the
+          request's batch, and to its answer.
         batch_size: how many requests shared the executing micro-batch.
         request_id: echo of the request's id.
         routed_method: when the service's :class:`~repro.router.Router`
@@ -263,75 +258,44 @@ class EstimateResponse:
         }
 
 
-class Resolution(threading.Condition):
-    """The condition one service's futures share.  A resolver takes its
-    lock only while ``waiting`` threads wait, and then bumps ``epoch``:
-    a waiter that saw the epoch move while it drained drains again
-    instead of sleeping through the change."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.waiting = 0
-        self.epoch = 0
-
-
 class ServiceFuture:
-    """A caller-side handle for one submitted request.
+    """The handle :meth:`~repro.service.EstimationService.submit`
+    returns for one request.
 
-    A future runs its own request: :meth:`result` first drains it
-    through the service's ``help_drain`` (passed in as ``drain``).
-    Futures share their service's :class:`Resolution` condition instead
-    of owning a per-future event — a request costs two attribute writes
-    to resolve, and only a wait on another thread pays for
-    synchronization.
+    The service answers the request in the calling thread before it
+    hands the future out, so :meth:`result` returns at once.
     """
 
     __slots__ = (
         "request",
         "_signature",
         "result_key",
-        "followers",
+        "duplicates",
         "enqueued_at",
         "deadline_at",
         "routed_method",
-        "routed_from",
         "live",
         "snapshot_seq",
-        "_cond",
-        "_drain",
-        "_done",
         "_response",
-        "_error",
     )
 
-    def __init__(
-        self,
-        request: EstimateRequest,
-        enqueued_at: float,
-        cond: Resolution | None = None,
-        drain: Callable[[Sequence["ServiceFuture"]], None] | None = None,
-    ) -> None:
+    def __init__(self, request: EstimateRequest, enqueued_at: float) -> None:
         self.request = request
-        # The memo key is derived once here, in the submitting thread;
-        # the batch signature is derived lazily on first use — a request
-        # answered from the result memo never needs one.  A request
-        # without a key always queues, so its signature is derived (and
-        # an unhashable configuration refused) here, before the engine
-        # registers anything for it.
+        # The memo key is derived once here, at admission; the batch
+        # signature is derived lazily on first use — a request answered
+        # from the result memo never needs one.  A request without a key
+        # always runs, so its signature is derived (and an unhashable
+        # configuration refused) here, before anything is answered.
         self._signature: tuple[Any, ...] | None = None
         self.result_key = request.result_key()
         if self.result_key is None:
             self._signature = request.batch_signature()
-        #: Set by the engine when this future is the in-flight lead for
-        #: its result key: duplicates submitted while it runs are
-        #: appended here instead of queued, and resolved with its
-        #: result.  ``None`` marks a settled (or never-lead) future.
-        self.followers: list["ServiceFuture"] | None = None
-        #: Routing annotations, set by the engine when a router chose
-        #: the answering method: the chosen arm and the method the
-        #: caller originally asked for.  None when routing is off.
+        #: The in-burst duplicates this request answers: requests of the
+        #: same burst with its result key, deadline and staleness bound.
+        self.duplicates: Sequence["ServiceFuture"] = ()
+        #: The arm a router chose for the answering method; None when
+        #: routing is off.
         self.routed_method: str | None = None
-        self.routed_from: str | None = None
         #: Live-workspace annotations, set at submit when the request's
         #: operands were snapshotted off a ``LiveWorkspace``: the
         #: workspace itself and the ``applied_seq`` the snapshot
@@ -345,11 +309,7 @@ class ServiceFuture:
             if request.deadline_s is not None
             else None
         )
-        self._cond = cond if cond is not None else Resolution()
-        self._drain = drain
-        self._done = False
         self._response: EstimateResponse | None = None
-        self._error: BaseException | None = None
 
     @property
     def signature(self) -> tuple[Any, ...]:
@@ -360,74 +320,18 @@ class ServiceFuture:
         return sig
 
     def done(self) -> bool:
-        return self._done
-
-    def _signal(self) -> None:
-        # ``_done`` is written before ``waiting`` is read, and a waiter
-        # counts itself before it drains and re-checks ``_done``: either
-        # the waiter sees the resolution or the resolver sees the waiter.
-        cond = self._cond
-        if cond.waiting:
-            with cond:
-                cond.epoch += 1
-                cond.notify_all()
+        return self._response is not None
 
     def resolve(self, response: EstimateResponse) -> None:
         self._response = response
-        self._done = True
-        self._signal()
-
-    def fail(self, error: BaseException) -> None:
-        self._error = error
-        self._done = True
-        self._signal()
 
     def result(self, timeout: float | None = None) -> EstimateResponse:
-        """Run the request if it is still queued, then block until it
-        is resolved, draining again after every resolution meanwhile
-        (a degraded lead may have queued this request to run).
-
-        ``timeout`` bounds only the wait for a request another caller's
-        thread holds.  Raises :class:`DeadlineExceededError` when that
-        wait times out (the request may still resolve later) and
-        re-raises the service-side error for a failed request.
-        """
-        drain = self._drain
-        if not self._done and drain is not None:
-            drain((self,))
-        if not self._done:
-            deadline = (
-                time.monotonic() + timeout if timeout is not None else None
+        """The response.  ``timeout`` is accepted and unused: nothing
+        waits.  Raises :class:`ServiceError` for a future no service
+        answered."""
+        response = self._response
+        if response is None:
+            raise ServiceError(
+                f"request {self.request.request_id} was never answered"
             )
-            cond = self._cond
-            with cond:
-                cond.waiting += 1
-            try:
-                while True:
-                    epoch = cond.epoch
-                    if drain is not None:
-                        drain((self,))
-                    with cond:
-                        if self._done:
-                            break
-                        if cond.epoch != epoch:
-                            continue  # resolved meanwhile: drain again
-                        remaining = (
-                            deadline - time.monotonic()
-                            if deadline is not None
-                            else None
-                        )
-                        if remaining is not None and remaining <= 0:
-                            raise DeadlineExceededError(
-                                f"no response for "
-                                f"{self.request.request_id} "
-                                f"within {timeout}s"
-                            )
-                        cond.wait(remaining)
-            finally:
-                with cond:
-                    cond.waiting -= 1
-        if self._error is not None:
-            raise self._error
-        assert self._response is not None
-        return self._response
+        return response

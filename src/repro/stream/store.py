@@ -17,13 +17,12 @@ counters of another tenant's entries — a property the cache-level
 and service-level isolation tests in ``tests/test_stream.py`` assert.
 
 Sequence numbers and applied counters survive the spill/load cycle: a
-load restores them from the store's in-memory copy of the metadata,
-which a spill also writes beside the pages as a JSON sidecar.
+spill keeps them in memory, and a load restores them from there.  The
+pages file is the only file a spill writes.
 """
 
 from __future__ import annotations
 
-import json
 import numbers
 import re
 import threading
@@ -86,7 +85,7 @@ class CatalogStore:
         self._clock = clock
         self._lock = threading.RLock()
         self._resident: OrderedDict[str, LiveWorkspace] = OrderedDict()
-        self._spilled: dict[str, dict] = {}  # tenant -> sidecar meta
+        self._spilled: dict[str, dict] = {}  # tenant -> counters at spill
         self._caches: tuple[SummaryCache, ...] = ()
         self._stats: dict[str, dict] = {}  # per-tenant spills/loads
 
@@ -95,10 +94,6 @@ class CatalogStore:
     def _pages_path(self, tenant: str) -> Path:
         assert self.root is not None
         return self.root / f"{tenant}.rpro"
-
-    def _meta_path(self, tenant: str) -> Path:
-        assert self.root is not None
-        return self.root / f"{tenant}.meta.json"
 
     # -- registry -----------------------------------------------------
 
@@ -233,7 +228,6 @@ class CatalogStore:
             write_elements(self._pages_path(tenant), live.elements())
             stats = live.stats()
             meta = {
-                "tenant": tenant,
                 "workspace": [live.workspace.lo, live.workspace.hi],
                 "ingest_seq": live.ingest_seq,
                 "applied_seq": live.applied_seq,
@@ -243,9 +237,6 @@ class CatalogStore:
                 "invalidated_entries": stats["invalidated_entries"],
                 "estimates_served": stats["estimates_served"],
             }
-            self._meta_path(tenant).write_text(
-                json.dumps(meta, indent=2) + "\n", encoding="utf-8"
-            )
             del self._resident[tenant]
             self._spilled[tenant] = meta
             self._stats[tenant]["spills"] += 1

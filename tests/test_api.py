@@ -314,10 +314,23 @@ class TestOneProcess:
         assert importers == []
 
     def test_no_module_starts_a_thread(self):
-        """The package runs in its callers' threads: no module under
-        src/repro uses threading.Thread, threading.Timer or
-        concurrent.futures."""
-        starters = {"threading.Thread", "threading.Timer"}
+        """The package runs in its callers' threads and never waits on
+        another thread: no module under src/repro uses threading.Thread,
+        threading.Timer, concurrent.futures, a primitive one thread
+        waits on for another (Condition, Event, Semaphore,
+        BoundedSemaphore, Barrier), or imports repro.service.queue."""
+        refused = {
+            f"threading.{name}"
+            for name in (
+                "Thread",
+                "Timer",
+                "Condition",
+                "Event",
+                "Semaphore",
+                "BoundedSemaphore",
+                "Barrier",
+            )
+        }
         found = []
         for module, node in _package_nodes():
             names = _imported_names(node)
@@ -327,10 +340,12 @@ class TestOneProcess:
             ):
                 names = [f"{node.value.id}.{node.attr}"]
             if any(
-                name in starters or name.split(".")[0] == "concurrent"
+                name in refused
+                or name.split(".")[0] == "concurrent"
+                or name.startswith("repro.service.queue")
                 for name in names
             ):
-                found.append(module)
+                found.append((module, names))
         assert found == []
 
     def test_one_runtime_probe_path(self):

@@ -833,13 +833,11 @@ class TestServiceIntegration:
     def test_degradation_reason_breakdown_in_stats(self, xmark_small):
         a, d = _operands(xmark_small)
         with repro.serve(workers=0) as service:
-            future = service.submit(
+            response = service.estimate(
                 a, d, "IM", num_samples=8, seed=3, deadline_s=1e-9
             )
-            service.help_drain((future,))
-            response = future.result(timeout=30.0)
             stats = service.stats()
-        assert response.status in ("degraded", "shed")
+        assert response.status == "degraded"
         breakdown = stats["degraded_by"]
         assert breakdown["IM"][response.degraded_reason] == 1
 

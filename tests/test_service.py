@@ -1,12 +1,12 @@
 """Tests for the estimation service layer (:mod:`repro.service`).
 
 Covers the service contract end to end: request validation and batch
-keys, queue coalescing, sequential-parity of service answers (the same
-bit-exact estimate a direct ``repro.api.estimate`` call returns), result
-memoization and in-flight deduplication, the degradation ladder under
-injected faults and deadlines, load shedding, the circuit breaker,
-shutdown semantics, typed errors for malformed fields, and client
-threads sharing one service.  Fault injection goes through the public
+keys, how one burst is grouped into batches, sequential-parity of
+service answers (the same bit-exact estimate a direct
+``repro.api.estimate`` call returns), result memoization and in-burst
+duplicates, the degradation ladder under injected faults and deadlines,
+the circuit breaker, shutdown semantics, typed errors for malformed
+fields, and client threads sharing one service.  Fault injection goes through the public
 ``estimator_factory`` hook — no monkeypatching of internals.
 """
 
@@ -23,7 +23,6 @@ import pytest
 import repro
 from repro import api
 from repro.core.errors import (
-    DeadlineExceededError,
     InvalidNodeSetError,
     ServiceError,
     UnknownEstimatorError,
@@ -39,9 +38,7 @@ from repro.service import (
     EstimateRequest,
     EstimateResponse,
     EstimationService,
-    RequestQueue,
 )
-from repro.service.request import ServiceFuture
 
 
 def build_trace(repeats: int) -> list[EstimateRequest]:
@@ -108,46 +105,18 @@ class _FakeClock:
         self.now += dt
 
 
-class _GateClock(_FakeClock):
-    """A fake clock that holds the armed thread's next reading until the
-    test releases it — a batch held at its start, in another thread."""
+class _SteppingClock(_FakeClock):
+    """A fake clock that moves ``step`` seconds on every reading, so a
+    request ages between its admission and its batch inside one call."""
 
-    def __init__(self, start: float = 1000.0):
+    def __init__(self, step: float, start: float = 1000.0):
         super().__init__(start)
-        self.armed: threading.Thread | None = None
-        self.held = threading.Event()
-        self.release = threading.Event()
+        self.step = step
 
     def __call__(self) -> float:
-        if threading.current_thread() is self.armed:
-            self.armed = None
-            self.held.set()
-            self.release.wait(30.0)
-        return self.now
-
-
-def _in_thread(call):
-    """Run ``call`` in a new thread; returns the thread and a list that
-    receives its return value or the exception it raised."""
-    out: list = []
-
-    def run() -> None:
-        try:
-            out.append(call())
-        except BaseException as error:  # asserted by the caller
-            out.append(error)
-
-    thread = threading.Thread(target=run)
-    thread.start()
-    return thread, out
-
-
-def _await_waiter(service) -> None:
-    """Block until a thread waits in ``ServiceFuture.result``."""
-    give_up = time.monotonic() + 30.0
-    while not service._resolution.waiting:
-        assert time.monotonic() < give_up
-        time.sleep(0.001)
+        now = self.now
+        self.now += self.step
+        return now
 
 
 class _SlowFactory:
@@ -228,99 +197,6 @@ class TestEstimateRequest:
         assert r1.request_id != r2.request_id
 
 
-class TestRequestQueue:
-    def test_coalesces_by_signature(self, figure1_tree):
-        queue = RequestQueue()
-        now = time.monotonic()
-        same1 = ServiceFuture(_request(figure1_tree), now)
-        other = ServiceFuture(
-            _request(figure1_tree, config={"num_samples": 25, "seed": 3}),
-            now,
-        )
-        same2 = ServiceFuture(
-            _request(figure1_tree, config={"num_samples": 10, "seed": 9}),
-            now,
-        )
-        for future in (same1, other, same2):
-            assert queue.put(future)
-        batch = queue.take_batch(max_batch=8)
-        # The oldest group anchors the batch and collects its later
-        # arrival, skipping the incompatible request queued between them.
-        assert batch == [same1, same2]
-        assert queue.take_batch(8) == [other]
-
-    def test_max_batch_cap(self, figure1_tree):
-        queue = RequestQueue()
-        futures = [
-            ServiceFuture(_request(figure1_tree), time.monotonic())
-            for __ in range(5)
-        ]
-        for future in futures:
-            queue.put(future)
-        assert queue.take_batch(max_batch=3) == futures[:3]
-        assert queue.take_batch(max_batch=3) == futures[3:]
-
-    def test_refuses_when_full_or_closed(self, figure1_tree):
-        queue = RequestQueue(maxsize=1)
-        assert queue.put(
-            ServiceFuture(_request(figure1_tree), time.monotonic())
-        )
-        assert not queue.put(
-            ServiceFuture(_request(figure1_tree), time.monotonic())
-        )
-        queue.close()
-        assert queue.take_batch(8)  # drains existing work
-        assert queue.take_batch(8) == []
-
-    def test_drain_empties_all_groups(self, figure1_tree):
-        queue = RequestQueue()
-        queue.put(ServiceFuture(_request(figure1_tree), time.monotonic()))
-        queue.put(
-            ServiceFuture(
-                _request(
-                    figure1_tree, config={"num_samples": 25, "seed": 3}
-                ),
-                time.monotonic(),
-            )
-        )
-        assert len(queue.drain()) == 2
-        assert len(queue) == 0
-
-
-def _futures(figure1_tree, n):
-    now = time.monotonic()
-    return [
-        ServiceFuture(
-            _request(figure1_tree, config={"num_samples": 10, "seed": i}),
-            now,
-        )
-        for i in range(n)
-    ]
-
-
-class TestPutMany:
-    def test_admits_whole_burst_under_capacity(self, figure1_tree):
-        queue = RequestQueue(maxsize=16)
-        futures = _futures(figure1_tree, 10)
-        assert queue.put_many(futures) == 10
-        assert len(queue) == 10
-        # The burst shares one signature: it drains as one batch.
-        assert len(queue.take_batch(max_batch=32)) == 10
-
-    def test_admits_prefix_at_capacity(self, figure1_tree):
-        queue = RequestQueue(maxsize=4)
-        futures = _futures(figure1_tree, 10)
-        assert queue.put_many(futures) == 4
-        assert len(queue) == 4
-        queue.take_batch(max_batch=2)
-        assert queue.put_many(futures[4:]) == 2
-
-    def test_closed_queue_admits_nothing(self, figure1_tree):
-        queue = RequestQueue(maxsize=4)
-        queue.close()
-        assert queue.put_many(_futures(figure1_tree, 3)) == 0
-
-
 class TestSequentialParity:
     def test_map_matches_sequential_estimates(self, figure1_tree):
         trace = [
@@ -376,7 +252,7 @@ class TestMemoizationAndDedup:
             counters = service.stats()["counters"]
         values = {r.estimate.value for r in responses}
         assert len(values) == 1
-        # One lead computed; the rest were deduplicated in flight.
+        # One computed; the other five were its in-burst duplicates.
         assert counters.get("service.inflight_hits", 0) == 5
 
     def test_memo_answers_after_settle(self, figure1_tree):
@@ -442,89 +318,87 @@ class TestMemoizationAndDedup:
         assert memo["hit_rate"] == 0.25
 
     def test_degraded_lead_hands_over_to_first_follower(self, figure1_tree):
-        """The followers of a lead that degrades share one new attempt:
-        the first follower queues with the rest riding on it."""
-        clock = _FakeClock()
+        """A request whose deadline passes degrades alone: the three
+        identical requests without a deadline are not its duplicates, so
+        the first of them runs, in the same batch, and the other two
+        share its full-fidelity answer."""
+        clock = _SteppingClock(step=0.01)  # each reading ages the burst
         factory = _FailingFactory(fail=0)  # never fails; counts calls
+        requests = [_request(figure1_tree, deadline_s=0.001)] + [
+            _request(figure1_tree) for __ in range(3)
+        ]
         with EstimationService(
             clock=clock, estimator_factory=factory
         ) as service:
-            lead = service.submit(
-                *figure1_tree, "IM", num_samples=10, seed=3,
-                deadline_s=0.001,
-            )
-            followers = [
-                service.submit(*figure1_tree, "IM", num_samples=10, seed=3)
-                for __ in range(3)
-            ]
-            clock.advance(0.01)  # the lead's deadline passes while queued
-            responses = [f.result(5.0) for f in (lead, *followers)]
+            responses = service.map(requests)
             counters = service.stats()["counters"]
-            assert service._inflight == {}
         assert responses[0].degraded_reason == "deadline"
         assert [r.status for r in responses[1:]] == ["ok"] * 3
         assert len({r.estimate.value for r in responses[1:]}) == 1
         assert factory.calls == 1
-        assert counters["service.inflight_hits"] == 3
-        assert counters["service.batches"] == 2
-
-    def test_hand_over_wakes_a_waiting_follower(self, figure1_tree):
-        """A follower waiting in one thread while another thread's batch
-        degrades its lead is queued and woken, and runs its own attempt
-        rather than waiting out its timeout."""
-        expected = api.estimate(*figure1_tree, "IM", num_samples=10, seed=3)
-        clock = _GateClock()
-        with EstimationService(clock=clock) as service:
-            lead = service.submit(
-                *figure1_tree, "IM", num_samples=10, seed=3,
-                deadline_s=0.001,
-            )
-
-            def run_lead():
-                clock.armed = threading.current_thread()
-                return lead.result(30.0)
-
-            thread_a, lead_out = _in_thread(run_lead)
-            assert clock.held.wait(30.0)  # A holds the lead's batch
-            follower = service.submit(
-                *figure1_tree, "IM", num_samples=10, seed=3
-            )
-            thread_b, follower_out = _in_thread(lambda: follower.result(5.0))
-            _await_waiter(service)
-            clock.advance(0.01)  # the lead's deadline passes
-            clock.release.set()
-            for thread in (thread_a, thread_b):
-                thread.join(30.0)
-                assert not thread.is_alive()
-            assert service._inflight == {}
-            counters = service.stats()["counters"]
-        (lead_response,), (follower_response,) = lead_out, follower_out
-        assert lead_response.degraded_reason == "deadline"
-        assert follower_response.status == "ok"
-        assert follower_response.estimate.value == expected.value
-        assert counters["service.inflight_hits"] == 1
-        assert counters["service.batches"] == 2
+        assert counters["service.inflight_hits"] == 2
+        assert counters["service.batches"] == 1
+        assert [r.batch_size for r in responses] == [2] * 4
 
     def test_error_lead_shares_its_answer(self, figure1_tree):
         """An estimator error would recur for an identical request, so
-        a lead that degrades with reason "error" answers its followers
-        too: one attempt, however many duplicates."""
+        the first of five duplicates in a burst that degrades with
+        reason "error" answers the other four: one attempt."""
         factory = _FailingFactory()  # always raises
         with EstimationService(estimator_factory=factory) as service:
-            futures = [
-                service.submit(*figure1_tree, "IM", num_samples=10, seed=3)
-                for __ in range(5)
-            ]
-            responses = [f.result(5.0) for f in futures]
-            assert service._inflight == {}
+            responses = service.map(
+                [_request(figure1_tree) for __ in range(5)]
+            )
             counters = service.stats()["counters"]
         assert factory.calls == 1
         assert {(r.status, r.degraded_reason) for r in responses} == {
             ("degraded", "error")
         }
         assert len({r.estimate.value for r in responses}) == 1
+        assert len({r.request_id for r in responses}) == 5
         assert counters["service.estimator_errors"] == 1
         assert counters["service.degraded.error"] == 5
+        assert counters["service.inflight_hits"] == 4
+        assert counters["service.batches"] == 1
+
+    def test_routed_burst_groups_its_duplicates(self, figure1_tree):
+        """A routed burst admits one request at a time, yet its
+        duplicates are grouped over the whole burst: three identical
+        requests routed to one arm cost one computation."""
+        calls = []
+
+        def factory(method, **config):
+            calls.append(method)
+            return make_estimator(method, **config)
+
+        with EstimationService(
+            router="static", estimator_factory=factory
+        ) as service:
+            responses = service.map(
+                [_request(figure1_tree) for __ in range(3)]
+            )
+            counters = service.stats()["counters"]
+        assert [r.routed_method for r in responses] == ["PL"] * 3
+        assert [r.status for r in responses] == ["ok"] * 3
+        assert calls == ["PL"]
+        assert counters["service.inflight_hits"] == 2
+        assert counters["service.batches"] == 1
+
+    def test_deadline_only_difference_is_not_a_duplicate(self, figure1_tree):
+        """Two requests that differ only in ``deadline_s`` may be
+        decided differently, so each runs."""
+        factory = _FailingFactory(fail=0)  # never fails; counts calls
+        requests = [
+            _request(figure1_tree, deadline_s=deadline_s)
+            for deadline_s in (10.0, 20.0)
+        ]
+        with EstimationService(estimator_factory=factory) as service:
+            responses = service.map(requests)
+            counters = service.stats()["counters"]
+        assert [r.status for r in responses] == ["ok", "ok"]
+        assert responses[0].estimate.value == responses[1].estimate.value
+        assert factory.calls == 2
+        assert counters.get("service.inflight_hits", 0) == 0
         assert counters["service.batches"] == 1
 
     def test_memoize_false_disables_dedup(self, figure1_tree):
@@ -549,7 +423,6 @@ class TestBurstAdmission:
         with EstimationService(workers=0) as service:
             responses = service.map([good, bad], timeout=30.0)
             assert [r.status for r in responses] == ["ok", "ok"]
-            assert service._inflight == {}
             again = service.estimate(
                 *figure1_tree, "IM", num_samples=10, seed=1, timeout=5.0
             )
@@ -592,12 +465,40 @@ class TestBurstAdmission:
                 service.map([good, bad], timeout=30.0)
             with pytest.raises(ServiceError, match="unhashable"):
                 service.submit(request=bad)
-            assert service._inflight == {}
-            assert service.stats()["queue_depth"] == 0
             response = service.estimate(
                 *figure1_tree, "IM", num_samples=10, seed=1, timeout=5.0
             )
         assert response.status == "ok"
+
+    def test_signature_groups_run_in_first_arrival_order(self, figure1_tree):
+        """A burst's batch-signature groups run in first-arrival order,
+        each cut into ``max_batch`` chunks with requests in arrival
+        order: A, B, A, B, A runs as [A, A], [A], [B, B]."""
+        samples = {"A": 10, "B": 25}
+        labels = ["A", "B", "A", "B", "A"]
+        requests = [
+            _request(
+                figure1_tree,
+                config={"num_samples": samples[label], "seed": seed},
+                request_id=f"{label}{seed}",
+            )
+            for seed, label in enumerate(labels, start=1)
+        ]
+        with EstimationService(max_batch=2) as service:
+            batches = []
+            execute = service._execute_batch
+
+            def recording(batch):
+                batches.append([f.request.request_id for f in batch])
+                return execute(batch)
+
+            service._execute_batch = recording
+            responses = service.map(requests)
+        assert batches == [["A1", "A3"], ["A5"], ["B2", "B4"]]
+        assert [r.batch_size for r in responses] == [2, 2, 2, 2, 1]
+        assert [r.request_id for r in responses] == [
+            r.request_id for r in requests
+        ]
 
 
 class TestDegradation:
@@ -618,15 +519,16 @@ class TestDegradation:
         assert response.estimate.details["degraded_from"] == "IM"
 
     def test_expired_deadline_degrades_without_running(self, figure1_tree):
-        clock = _FakeClock()
-        with EstimationService(workers=0, clock=clock) as service:
-            future = service.submit(
+        clock = _SteppingClock(step=0.01)  # the deadline passes in-call
+        factory = _FailingFactory(fail=0)  # never fails; counts calls
+        with EstimationService(
+            workers=0, clock=clock, estimator_factory=factory
+        ) as service:
+            response = service.estimate(
                 *figure1_tree, "IM", num_samples=10, seed=3,
                 deadline_s=0.001,
             )
-            clock.advance(0.01)  # deadline passes while queued
-            service.help_drain((future,))
-            response = future.result(timeout=30.0)
+        assert factory.calls == 0
         assert response.status == "degraded"
         assert response.degraded_reason == "deadline"
         assert response.deadline_missed
@@ -638,17 +540,15 @@ class TestDegradation:
         )
         a = xmark_small.node_set("item")
         d = xmark_small.node_set("name")
-        clock = _FakeClock()
+        clock = _SteppingClock(step=0.01)
         with EstimationService(
             workers=0, catalog=catalog, clock=clock
         ) as service:
-            future = service.submit(
+            response = service.estimate(
                 a, d, "IM", num_samples=10, seed=3, deadline_s=0.001
             )
-            clock.advance(0.01)
-            service.help_drain((future,))
-            response = future.result(timeout=30.0)
         assert response.status == "degraded"
+        assert response.degraded_reason == "deadline"
         assert response.ladder_name == "catalog"
         assert response.ladder_level == LADDER.index("catalog")
         assert response.estimate.details["degraded_from"] == "IM"
@@ -662,18 +562,16 @@ class TestDegradation:
         a = xmark_small.node_set("item")
         d = xmark_small.node_set("name")
         filtered = NodeSet(list(d)[: len(d) // 2], name=d.name)
-        clock = _FakeClock()
+        clock = _SteppingClock(step=0.01)
         with EstimationService(
             workers=0, catalog=catalog, clock=clock
         ) as service:
-            future = service.submit(
+            response = service.estimate(
                 a, filtered, "IM", num_samples=10, seed=3,
                 deadline_s=0.001,
             )
-            clock.advance(0.01)
-            service.help_drain((future,))
-            response = future.result(timeout=30.0)
         # Whole-tag statistics must not answer for a filtered subset.
+        assert response.degraded_reason == "deadline"
         assert response.ladder_name == "bound"
 
     def test_predicted_latency_degrades_upfront(self, figure1_tree):
@@ -737,132 +635,73 @@ class TestDegradation:
         for response in responses:
             assert response.estimate.value >= 0.0
             if response.degraded:
-                assert response.status in ("degraded", "shed")
+                assert response.status == "degraded"
                 assert response.degraded_reason is not None
 
 
 class TestSheddingAndShutdown:
-    def test_overload_sheds_inline(self, figure1_tree):
-        requests = [
-            _request(figure1_tree, config={"num_samples": 10 + i})
-            for i in range(3)
-        ]
-        with EstimationService(workers=0, queue_size=1) as service:
-            futures = [service.submit(request=r) for r in requests]
-            shed = [f.result(30.0) for f in futures[1:]]
-            service.help_drain(futures)
-            first = futures[0].result(30.0)
-        assert first.status == "ok"
-        for response in shed:
-            assert response.status == "shed"
-            assert response.degraded_reason == "overload"
-            assert response.estimate.estimator == "BOUND"
-
-    def test_close_answers_queued_requests(self, figure1_tree):
-        service = EstimationService(workers=0)
-        future = service.submit(*figure1_tree, "IM", num_samples=10,
-                                seed=3)
-        service.close()
-        response = future.result(timeout=30.0)
-        assert response.status == "shed"
-        assert response.degraded_reason == "shutdown"
-
     def test_submit_after_close_raises(self, figure1_tree):
         service = EstimationService(workers=0)
         service.close()
         with pytest.raises(ServiceError):
             service.submit(*figure1_tree, "IM", num_samples=10, seed=3)
 
-    def test_result_wait_timeout_raises(self, figure1_tree):
-        """A wait times out only while another caller's thread holds the
-        request: here B follows the lead that A is running, and A's
-        estimator blocks until the test releases it."""
-        running, release = threading.Event(), threading.Event()
+    @pytest.mark.parametrize("router", [None, "static"])
+    def test_every_entry_point_raises_after_close(self, figure1_tree, router):
+        """A closed service refuses every call, an empty burst too
+        (a routed one used to return [])."""
+        from repro.service import wire
 
-        def blocking_factory(method, **config):
-            running.set()
-            release.wait(30.0)
-            return make_estimator(method, **config)
-
-        with EstimationService(estimator_factory=blocking_factory) as service:
-            lead = service.submit(*figure1_tree, "IM", num_samples=10, seed=3)
-            thread_a = threading.Thread(target=lead.result, args=(30.0,))
-            thread_a.start()
-            assert running.wait(30.0)
-            follower = service.submit(
-                *figure1_tree, "IM", num_samples=10, seed=3
-            )
-            with pytest.raises(DeadlineExceededError):
-                follower.result(timeout=0.01)
-            release.set()
-            thread_a.join(30.0)
-            assert not thread_a.is_alive()
-            responses = [lead.result(30.0), follower.result(30.0)]
-            counters = service.stats()["counters"]
-        assert [r.status for r in responses] == ["ok", "ok"]
-        assert responses[0].estimate.value == responses[1].estimate.value
-        assert counters["service.inflight_hits"] == 1
-
-    def test_error_lead_answers_a_waiting_follower(self, figure1_tree):
-        """A follower waiting in one thread gets the degraded answer of
-        the lead whose estimator fails in another."""
-        running, release = threading.Event(), threading.Event()
-        calls = []
-
-        def failing_factory(method, **config):
-            calls.append(method)
-            running.set()
-            release.wait(30.0)
-            raise RuntimeError("injected estimator fault")
-
-        with EstimationService(estimator_factory=failing_factory) as service:
-            lead = service.submit(*figure1_tree, "IM", num_samples=10, seed=3)
-            thread_a, lead_out = _in_thread(lambda: lead.result(30.0))
-            assert running.wait(30.0)
-            follower = service.submit(
-                *figure1_tree, "IM", num_samples=10, seed=3
-            )
-            thread_b, follower_out = _in_thread(lambda: follower.result(5.0))
-            _await_waiter(service)
-            release.set()
-            for thread in (thread_a, thread_b):
-                thread.join(30.0)
-                assert not thread.is_alive()
-            assert service._inflight == {}
-        (lead_response,), (follower_response,) = lead_out, follower_out
-        for response in (lead_response, follower_response):
-            assert response.status == "degraded"
-            assert response.degraded_reason == "error"
-        assert calls == ["IM"]
+        request = _request(figure1_tree)
+        service = EstimationService(router=router)
+        service.close()
+        for call in (
+            lambda: service.map([]),
+            lambda: service.map([request]),
+            lambda: service.submit(request=request),
+            lambda: service.estimate(*figure1_tree, "PL", num_buckets=4),
+            lambda: service.estimate_wire(wire.encode_request(request)),
+        ):
+            with pytest.raises(ServiceError, match="closed"):
+                call()
 
     def test_escaping_error_leaves_nothing_in_flight(self, figure1_tree):
-        """An error no estimator guard catches fails the batch's request
-        and its followers, and raises in the draining thread."""
+        """An error no estimator guard catches propagates out of the
+        call that ran it, ``submit`` or ``map``, and leaves nothing
+        behind: the next call is answered."""
 
         class Escaping(BaseException):
             pass
 
-        def factory(method, **config):
-            raise Escaping
+        calls = []
 
+        def factory(method, **config):
+            calls.append(method)
+            if len(calls) <= 2:
+                raise Escaping
+            return make_estimator(method, **config)
+
+        expected = api.estimate(*figure1_tree, "IM", num_samples=10, seed=3)
         with EstimationService(estimator_factory=factory) as service:
-            futures = [
+            with pytest.raises(Escaping):
                 service.submit(*figure1_tree, "IM", num_samples=10, seed=3)
-                for __ in range(2)
-            ]
-            for future in futures:
-                with pytest.raises(Escaping):
-                    future.result(timeout=5.0)
-            assert service._inflight == {}
+            with pytest.raises(Escaping):
+                service.map([_request(figure1_tree) for __ in range(2)])
+            response = service.estimate(
+                *figure1_tree, "IM", num_samples=10, seed=3
+            )
+        assert calls == ["IM"] * 3
+        assert response.status == "ok"
+        assert response.estimate.value == expected.value
 
     def test_result_runs_its_own_request(self, figure1_tree):
-        """``submit`` then ``result`` completes in the calling thread."""
+        """``submit`` answers its request before it returns."""
         expected = api.estimate(*figure1_tree, "IM", num_samples=10, seed=3)
         with EstimationService() as service:
             future = service.submit(*figure1_tree, "IM", num_samples=10,
                                     seed=3)
-            assert not future.done()
-            response = future.result(timeout=5.0)
+            assert future.done()
+            response = future.result()
         assert response.status == "ok"
         assert response.estimate.value == expected.value
 
@@ -874,7 +713,6 @@ class TestFrontDoorErrors:
     @pytest.mark.parametrize(
         "options",
         [
-            {"queue_size": 0},
             {"memo_size": 0},
             {"max_batch": "2"},
             {"feedback": "yes"},
@@ -912,8 +750,6 @@ class TestFrontDoorErrors:
         with EstimationService(workers=0) as service:
             with pytest.raises(ServiceError, match="EstimateRequest"):
                 service.map(burst)
-            assert service._inflight == {}
-            assert service.stats()["queue_depth"] == 0
             assert service.stats()["memo"]["size"] == 0
 
     @pytest.mark.parametrize("request_", [1, "request", ("a", "d")], ids=repr)
@@ -921,8 +757,6 @@ class TestFrontDoorErrors:
         with EstimationService(workers=0) as service:
             with pytest.raises(ServiceError, match="EstimateRequest"):
                 service.submit(request=request_)
-            assert service._inflight == {}
-            assert service.stats()["queue_depth"] == 0
 
     @pytest.mark.parametrize("payload", ["{}", None, 123], ids=repr)
     def test_estimate_wire_takes_bytes(self, payload):
@@ -930,7 +764,6 @@ class TestFrontDoorErrors:
             with pytest.raises(ServiceError, match="must be bytes-like"):
                 service.estimate_wire(payload)
             assert service.stats()["wire"]["requests"] == 0
-            assert service.stats()["queue_depth"] == 0
 
     @pytest.mark.parametrize("entry", ["repro.estimate", "service.estimate"])
     def test_method_name_must_be_a_string(self, figure1_tree, entry):
@@ -969,8 +802,8 @@ def _client(service, a, d, keys, rng, rounds, answers):
 
 
 class TestMultiClient:
-    """Client threads share one service: whichever thread drains a
-    request answers it, and duplicates follow leads across threads."""
+    """Client threads share one service: each thread answers its own
+    requests, and threads share work only through the memo."""
 
     def test_threads_mixing_entry_points_match_direct(self, xmark_small):
         a = xmark_small.node_set("listitem")
@@ -1015,8 +848,6 @@ class TestMultiClient:
                         thread.join(60.0)
                     assert not any(thread.is_alive() for thread in threads)
                     assert errors == []
-                    assert service._inflight == {}
-                    assert service.stats()["queue_depth"] == 0
                     counters = service.stats()["counters"]
                 assert len(answers) == clients * rounds * 3
                 assert counters["service.responses"] == len(answers)
@@ -1026,9 +857,9 @@ class TestMultiClient:
 
     def test_threads_handing_over_degraded_leads(self, figure1_tree):
         """A third of the requests carry a deadline that passes before
-        they run, so leads degrade and hand their entries to followers
-        in other client threads: every request is still answered, no
-        wait times out, and nothing stays in flight or queued."""
+        they run, so they degrade while identical requests without one
+        run in the same or other client threads: every request is
+        answered, and every ok answer equals the direct estimate."""
         keys = [{"num_samples": 10, "seed": seed} for seed in range(12)]
         expected = [
             repro.estimate(*figure1_tree, "IM", **config).value
@@ -1036,7 +867,7 @@ class TestMultiClient:
         ]
 
         def slow_factory(method, **config):
-            time.sleep(0.0005)  # releases the GIL: others follow and wait
+            time.sleep(0.0005)  # releases the GIL: other threads run
             return make_estimator(method, **config)
 
         clients, rounds = 4, 20
@@ -1081,8 +912,6 @@ class TestMultiClient:
                     thread.join(60.0)
                 assert not any(thread.is_alive() for thread in threads)
                 assert errors == []
-                assert service._inflight == {}
-                assert service.stats()["queue_depth"] == 0
                 counters = service.stats()["counters"]
         finally:
             sys.setswitchinterval(interval)
@@ -1160,13 +989,10 @@ class TestRealClockIntegration:
 
     def test_expired_deadline_real_clock(self, figure1_tree):
         with EstimationService(workers=0) as service:
-            future = service.submit(
+            response = service.estimate(
                 *figure1_tree, "IM", num_samples=10, seed=3,
-                deadline_s=0.001,
+                deadline_s=1e-9,
             )
-            time.sleep(0.05)
-            service.help_drain((future,))
-            response = future.result(timeout=30.0)
         assert response.status == "degraded"
         assert response.degraded_reason == "deadline"
         assert response.deadline_missed
